@@ -100,7 +100,7 @@ def square_refinement_level(epsilon: float) -> int:
     """
     if not 0.0 < epsilon <= 1.0:
         raise DomainError(f"epsilon must lie in (0, 1], got {epsilon}")
-    t = 0.5 * math.log2(1.0 / epsilon)
+    t = -0.5 * math.log2(epsilon)
     nearest = round(t)
     if abs(t - nearest) <= 4.0 * sys.float_info.epsilon * max(1.0, abs(t)):
         t = nearest

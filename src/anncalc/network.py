@@ -4,14 +4,20 @@ A network here is pure data: a non-empty sequence of ``(W, b)`` pairs with
 chaining shapes.  What function it computes is decided only when an
 activation is supplied to :func:`realize`; the same network can be realized
 under ReLU, the identity, or any other scalar activation.  All scalars are
-64-bit floats, all matrices dense and row-major, and every value is
-immutable, so structural identities can be checked by exact comparison.
+64-bit floats and every value is immutable, so structural identities can be
+checked by exact comparison.
+
+Weights are stored dense and row-major; that layout is the contract every
+operation and file works with.  Evaluation is free to differ: a large layer
+that is mostly zeros is evaluated by gathering only its nonzero weights
+(see :meth:`Layer.apply`), while every other layer uses the plain product.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -37,6 +43,16 @@ __all__ = [
     "save_network",
     "serialize",
 ]
+
+
+# A layer is evaluated by gather when it has at least _GATHER_MIN_ENTRIES
+# entries and at most 1/_GATHER_MAX_DENSITY of them are nonzero.  Below that
+# size the index would cost more than it saves, and no verification-suite
+# net reaches it, so their results stay those of the plain product.
+_GATHER_MIN_ENTRIES = 1 << 16
+_GATHER_MAX_DENSITY = 8
+# Scalars per gather temporary (a chunk still holds at least one slot).
+_GATHER_CHUNK = 1 << 14
 
 
 class ShapeError(ValueError):
@@ -91,6 +107,63 @@ class Layer:
     @property
     def cols(self) -> int:
         return self.weights.shape[1]
+
+    def apply(self, z: np.ndarray) -> np.ndarray:
+        """The affine map on a batch: ``z @ W.T + b`` for ``z`` of shape (n, cols).
+
+        A layer with at least 65,536 entries of which at most 1/8 are nonzero
+        is evaluated from a cached gather index of its nonzeros; its result
+        equals the dense product up to summation order.  Every other layer
+        computes exactly ``z @ W.T + b``.
+        """
+        if self.weights.size >= _GATHER_MIN_ENTRIES:
+            groups = self._gather_groups
+            if groups is not None:
+                return _gather_product(groups, self.bias, z)
+        return z @ self.weights.T + self.bias
+
+    @cached_property
+    def _gather_groups(self) -> tuple | None:
+        """The nonzeros grouped by row count, or None if the layer is too dense.
+
+        One group per distinct count k: the ids of the rows with k nonzeros
+        and (rows, k) arrays of their column ids and values.
+        """
+        w = self.weights
+        flat = np.flatnonzero(w != 0.0)
+        if flat.size * _GATHER_MAX_DENSITY > w.size:
+            return None
+        rows, cols = np.divmod(flat, w.shape[1])
+        values = w.ravel()[flat]
+        counts = np.bincount(rows, minlength=w.shape[0])
+        starts = np.cumsum(counts) - counts
+        groups = []
+        for k in np.unique(counts[counts > 0]):
+            ids = np.flatnonzero(counts == k)
+            at = starts[ids, np.newaxis] + np.arange(k)
+            groups.append((ids, cols[at], values[at]))
+        return tuple(groups)
+
+
+def _gather_product(groups: tuple, bias: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``z @ W.T + b`` from a gather index; rows without nonzeros get ``b`` alone.
+
+    Works on the transposed batch, so each gather reads whole rows of point
+    values.  A group's slots are summed in chunks of at most _GATHER_CHUNK
+    scalars, or one slot if that is more, so no temporary outgrows the larger
+    of _GATHER_CHUNK and the output.
+    """
+    zt = np.ascontiguousarray(z.T)
+    out = np.empty((bias.shape[0], zt.shape[1]))
+    out[...] = bias[:, np.newaxis]
+    for ids, cols, vals in groups:
+        rows, k = cols.shape
+        step = max(1, min(k, _GATHER_CHUNK // (rows * max(zt.shape[1], 1))))
+        acc = (zt[cols[:, :step]] * vals[:, :step, np.newaxis]).sum(axis=1)
+        for j in range(step, k, step):
+            acc += (zt[cols[:, j : j + step]] * vals[:, j : j + step, np.newaxis]).sum(axis=1)
+        out[ids] += acc
+    return out.T
 
 
 @dataclass(frozen=True)
@@ -216,39 +289,43 @@ def param_count(net: Network) -> int:
 def _prepare_input(net: Network, x) -> tuple[np.ndarray, bool]:
     x = np.asarray(x, dtype=np.float64)
     single = x.ndim == 1
-    if single:
-        x = x[np.newaxis, :]
-    if x.ndim != 2 or x.shape[1] != net.input_dim:
+    z = x[np.newaxis, :] if single else x
+    if z.ndim != 2 or z.shape[1] != net.input_dim:
         raise ShapeError(
-            f"input has shape {np.asarray(x).shape} but the network expects "
+            f"input has shape {x.shape} but the network expects "
             f"{net.input_dim} components"
         )
-    return x, single
+    if not np.isfinite(z).all():
+        at = tuple(int(i) for i in np.argwhere(~np.isfinite(x))[0])
+        raise DomainError(f"input x must be finite, got {x[at]} at index {at}")
+    return z, single
 
 
 def realize(net: Network, act: Activation, x) -> np.ndarray:
     """Evaluate the network at ``x``: activation after every layer but the last.
 
     ``x`` may be a single point of length I or a batch of shape (n, I);
-    the result has shape (O,) or (n, O) accordingly.
+    the result has shape (O,) or (n, O) accordingly.  Raises ShapeError on
+    a wrong shape and DomainError if ``x`` holds a NaN or an infinity.
     """
     z, single = _prepare_input(net, x)
     for layer in net.layers[:-1]:
-        z = act.fn(z @ layer.weights.T + layer.bias)
-    last = net.layers[-1]
-    z = z @ last.weights.T + last.bias
+        z = act.fn(layer.apply(z))
+    z = net.layers[-1].apply(z)
     return z[0] if single else z
 
 
 def forward_states(net: Network, act: Activation, x) -> list[np.ndarray]:
-    """All intermediate states [x_0, x_1, ..., x_L] of one evaluation."""
+    """All intermediate states [x_0, x_1, ..., x_L] of one evaluation.
+
+    Takes ``x`` as :func:`realize` does and raises the same errors.
+    """
     z, single = _prepare_input(net, x)
     states = [z]
-    for k, layer in enumerate(net.layers):
-        z = z @ layer.weights.T + layer.bias
-        if k < len(net.layers) - 1:
-            z = act.fn(z)
+    for layer in net.layers[:-1]:
+        z = act.fn(layer.apply(z))
         states.append(z)
+    states.append(net.layers[-1].apply(z))
     return [s[0] for s in states] if single else states
 
 
@@ -265,14 +342,28 @@ def networks_equal(a: Network, b: Network) -> bool:
 
 
 def serialize(net: Network) -> bytes:
-    """JSON document with row-major weights, full double precision."""
-    doc = {
-        "layers": [
-            {"weights": layer.weights.tolist(), "bias": layer.bias.tolist()}
-            for layer in net.layers
-        ]
-    }
-    return json.dumps(doc).encode("utf-8")
+    """Strict JSON document with row-major weights, full double precision.
+
+    JSON has no NaN or infinity, so a layer holding one raises DomainError.
+    Layers are encoded one at a time, so the Python floats of only one layer
+    are alive at once.
+    """
+    chunks = [b'{"layers": [']
+    for k, layer in enumerate(net.layers):
+        doc = {"weights": layer.weights.tolist(), "bias": layer.bias.tolist()}
+        try:
+            text = json.dumps(doc, allow_nan=False)
+        except ValueError as exc:
+            raise DomainError(f"layer {k}: cannot serialize a NaN or infinite scalar") from exc
+        if k:
+            chunks.append(b", ")
+        chunks.append(text.encode("utf-8"))
+    chunks.append(b"]}")
+    return b"".join(chunks)
+
+
+def _reject_constant(token: str):
+    raise ParseError(f"{token} is not a JSON number")
 
 
 def deserialize(data: bytes | str) -> Network:
@@ -280,7 +371,7 @@ def deserialize(data: bytes | str) -> Network:
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
-        doc = json.loads(data)
+        doc = json.loads(data, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "layers" not in doc:

@@ -8,7 +8,9 @@ hold exactly, not just up to realization.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -59,8 +61,8 @@ def compose(phi1: Network, phi2: Network) -> Network:
 
 def power(phi: Network, n: int) -> Network:
     """n-fold composition of ``phi`` with itself; n = 0 gives (I, 0)."""
-    if n < 0:
-        raise ShapeError(f"power needs n >= 0, got {n}")
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ShapeError(f"power needs an integer n >= 0, got {n!r}")
     if phi.input_dim != phi.output_dim:
         raise ShapeError(
             f"power needs a square network, got I={phi.input_dim}, O={phi.output_dim}"
@@ -117,7 +119,18 @@ class IdentityEmulator:
 
 
 def relu_identity(d: int) -> IdentityEmulator:
-    """The canonical ReLU identity emulator of width 2d."""
+    """The canonical ReLU identity emulator of width 2d.
+
+    Emulators are immutable, so every call with the same d returns the same
+    object, built and probed once.
+    """
+    # a plain function in front of the cache, so that tools which wrap
+    # module functions (profilers, tracers) still see every call
+    return _relu_identity(d)
+
+
+@lru_cache(maxsize=16, typed=True)
+def _relu_identity(d: int) -> IdentityEmulator:
     return IdentityEmulator(identity_net(d), d, RELU)
 
 

@@ -37,6 +37,12 @@ def test_build_rejects_bad_eps(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_build_square_unit_at_smallest_subnormal_eps(tmp_path):
+    out = tmp_path / "sq.ann.json"
+    assert run("build", "--kind", "square-unit", "--eps", "5e-324", "-o", out) == 0
+    assert dims(load_network(out)).depth == 537
+
+
 def test_usage_error_is_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["build", "--kind", "nonsense", "-o", "x"])

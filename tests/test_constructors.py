@@ -164,6 +164,7 @@ def test_refinement_level_table():
     assert square_refinement_level(2.0**-10) == 5
     assert square_refinement_level(2.0**-20) == 10
     assert square_refinement_level(1e-2) == 4
+    assert square_refinement_level(5e-324) == 537  # 2^-1074, 1/eps overflows
     with pytest.raises(DomainError):
         square_refinement_level(0.0)
 

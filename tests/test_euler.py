@@ -18,6 +18,7 @@ from anncalc import (
     euler_nodes,
     euler_oracle,
     euler_space_net,
+    forward_states,
     gronwall_bound,
     identity_net,
     networks_equal,
@@ -375,3 +376,17 @@ def test_spacetime_depth_is_uniform_max_summand(rng):
     gamma = scalar_vector_product(ApproxSpec(spec.epsilon, spec.q, spec.d))
     net = spacetime_net(spec)
     assert net.depth == gamma.depth + 2 + spec.N * spec.drift.hidden
+
+
+def test_spacetime_gather_evaluation_is_consistent(rng):
+    # d=3, N=4 at eps=0.1 has layers over 65,536 entries and under 1/8 nonzero
+    net = spacetime_net(make_spec(rng, 3, 4, 2, eps=1e-1))
+    assert any(
+        layer.weights.size >= 65536 and layer._gather_groups is not None
+        for layer in net.layers
+    )
+    x = np.column_stack([rng.uniform(0.0, 1.0, 16), rng.uniform(-2.0, 2.0, (16, 3))])
+    batch = realize(net, RELU, x)
+    assert np.array_equal(forward_states(net, RELU, x)[-1], batch)
+    for point, row in zip(x, batch):
+        assert np.allclose(realize(net, RELU, point), row, rtol=1e-12, atol=1e-12)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from anncalc import (
     IDENTITY,
     Dims,
+    DomainError,
     Layer,
     Network,
     ParseError,
@@ -106,6 +107,17 @@ def test_realize_shape_error():
         realize(identity_net(2), RELU, np.zeros(3))
 
 
+@pytest.mark.parametrize("evaluate", [realize, forward_states])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_evaluation_rejects_non_finite_input(evaluate, bad):
+    # dense and gather evaluation would disagree on 0 * inf, so neither runs
+    x = np.array([[0.5, -1.0], [2.0, bad]])
+    with pytest.raises(DomainError, match=r"input x must be finite.*index \(1, 1\)"):
+        evaluate(identity_net(2), RELU, x)
+    with pytest.raises(DomainError, match=r"input x must be finite.*index \(1,\)"):
+        evaluate(identity_net(2), RELU, x[1])
+
+
 def test_forward_states_alternates_affine_and_activation(rng):
     net = random_net(rng, 2, 2, 3)
     x = rng.standard_normal(2)
@@ -169,6 +181,23 @@ def test_deserialize_rejects_malformed_documents():
         deserialize(doc)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_serialize_rejects_non_finite_scalars(bad):
+    net = Network(((np.eye(2), np.zeros(2)), (np.array([[1.0, bad]]), np.zeros(1))))
+    with pytest.raises(DomainError, match="layer 1"):
+        serialize(net)
+    net = Network(((np.eye(2), np.array([0.0, bad])),))
+    with pytest.raises(DomainError, match="layer 0"):
+        serialize(net)
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_deserialize_rejects_non_finite_tokens(token):
+    doc = '{"layers": [{"weights": [[%s]], "bias": [0.0]}]}' % token
+    with pytest.raises(ParseError, match=token):
+        deserialize(doc)
+
+
 def test_serialize_full_precision():
     w = np.array([[1.0 / 3.0]])
     net = affine(w, [np.pi])
@@ -207,3 +236,68 @@ def test_networks_equal_detects_differences(rng):
     assert networks_equal(a, bumped) == np.array_equal(
         a.layers[0].weights, a.layers[0].weights + 1e-16
     )
+
+
+# ---------------------------------------------------------------------------
+# gather evaluation of large sparse layers
+
+
+def dense_reference(net, act, x):
+    # independent oracle: the plain product loop, plus the magnitudes
+    # |W| |z| + |b| that bound the rounding error of any summation order
+    z = np.atleast_2d(np.asarray(x, dtype=float))
+    mag = np.abs(z)
+    for k, layer in enumerate(net.layers):
+        z = z @ layer.weights.T + layer.bias
+        mag = mag @ np.abs(layer.weights).T + np.abs(layer.bias)
+        if k < net.depth - 1:
+            z = act.fn(z)
+    return z, mag
+
+
+def sparse_layer(rng, rows, cols, all_zero, dense_row):
+    """0-11 nonzeros per row with at least one empty row, or no nonzeros at
+    all; optionally one row with every column nonzero."""
+    w = np.zeros((rows, cols))
+    if not all_zero:
+        counts = rng.choice([0, 1, 2, 3, 5, 11], size=rows)
+        counts[0] = 0
+        for i, k in enumerate(counts):
+            w[i, rng.choice(cols, size=k, replace=False)] = rng.standard_normal(k)
+        if dense_row:
+            w[rows // 2] = rng.standard_normal(cols)
+    return Layer(w, rng.standard_normal(rows))
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+    st.booleans(),
+    st.sampled_from([None, 1, 37]),
+)
+def test_gather_layers_match_dense_reference(seed, all_zero, dense_row, batch):
+    rng = np.random.default_rng(seed)
+    widths = rng.integers(256, 300, size=3)
+    net = Network(
+        (
+            sparse_layer(rng, widths[1], widths[0], all_zero, dense_row),
+            sparse_layer(rng, widths[2], widths[1], False, dense_row),
+        )
+    )
+    assert all(layer._gather_groups is not None for layer in net.layers)
+    shape = (widths[0],) if batch is None else (batch, widths[0])
+    x = rng.standard_normal(shape)
+    got = realize(net, RELU, x)
+    want, mag = dense_reference(net, RELU, x)
+    assert got.shape == ((widths[2],) if batch is None else (batch, widths[2]))
+    assert np.all(np.abs(np.atleast_2d(got) - want) <= 1e-12 * mag)
+
+
+def test_small_or_dense_layers_keep_the_plain_product_bits(rng):
+    # 255 x 256 is under 65,536 entries; the 256 x 256 layer is over 1/8 nonzero
+    small = rng.standard_normal((255, 256)) * (rng.random((255, 256)) < 0.02)
+    dense = rng.standard_normal((256, 256))
+    for w in (small, dense):
+        layer = Layer(w, rng.standard_normal(w.shape[0]))
+        z = rng.standard_normal((9, 256))
+        assert np.array_equal(realize(Network((layer,)), RELU, z), z @ w.T + layer.bias)

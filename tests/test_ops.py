@@ -113,6 +113,16 @@ def test_power_identity_realization(rng):
     assert np.allclose(realize(p, RELU, x), x, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [-1, 2.5, True, "2", None])
+def test_power_rejects_non_natural_exponents(n):
+    with pytest.raises(ShapeError, match="integer n >= 0"):
+        power(identity_net(2), n)
+
+
+def test_power_accepts_numpy_integers():
+    assert dims(power(identity_net(2), np.int64(2))).dims == (2, 4, 4, 2)
+
+
 def test_power_requires_square(rng):
     with pytest.raises(ShapeError):
         power(random_net(rng, 2, 3, 1), 2)
@@ -169,6 +179,12 @@ def test_identity_emulator_checks_realization(rng):
     bogus = Network(((np.ones((4, 2)), np.zeros(4)), (np.ones((2, 4)), np.zeros(2))))
     with pytest.raises(ShapeError):
         IdentityEmulator(bogus, 2)
+
+
+def test_relu_identity_is_built_once_per_dimension():
+    assert relu_identity(3) is relu_identity(3)
+    assert relu_identity(2) is not relu_identity(3)
+    assert relu_identity(2).dim == 2
 
 
 def test_algebra_is_activation_generic(rng):
