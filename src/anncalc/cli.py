@@ -45,7 +45,7 @@ from .ops import (
     sum_equal,
     sum_general,
 )
-from .verification import SUITES, run_suite
+from .verification import SUITES, BoundReport, run_suite, scaling_report
 
 _ACTIVATIONS = {"relu": RELU, "identity": IDENTITY}
 
@@ -171,32 +171,45 @@ def _cmd_info(args) -> int:
     return 0
 
 
+def _print_summary(name: str, report: BoundReport) -> None:
+    n_fail = len(report.failures())
+    print(f"suite {name}: {len(report.entries) - n_fail}/{len(report.entries)} checks pass")
+
+
 def _cmd_verify(args) -> int:
-    report = run_suite(args.suite, args.seed)
+    names = list(SUITES) if args.suite == "all" else [args.suite]
+    reports = []
+    for name in names:
+        report = run_suite(name, args.seed)
+        for e in report.entries:
+            status = "pass" if e.passed else "FAIL"
+            print(f"{status} {e.name}: measured={e.measured:.6g} bound={e.bound:.6g}")
+        _print_summary(name, report)
+        reports.append(report)
+    if len(reports) > 1:
+        report = BoundReport(
+            metadata={"suite": "all", "seed": args.seed, "suites": [r.metadata for r in reports]},
+            entries=[e for r in reports for e in r.entries],
+        )
+        _print_summary("all", report)
     if args.csv:
         with open(args.csv, "w") as fh:
             fh.write(report.to_csv())
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(report.to_json())
-    for e in report.entries:
-        status = "pass" if e.passed else "FAIL"
-        print(f"{status} {e.name}: measured={e.measured:.6g} bound={e.bound:.6g}")
-    n_fail = len(report.failures())
-    print(f"suite {args.suite}: {len(report.entries) - n_fail}/{len(report.entries)} checks pass")
     return 0 if report.all_pass else 1
 
 
 def _cmd_report(args) -> int:
     if args.sweep != "thm1":
         raise DomainError(f"unknown sweep {args.sweep!r}")
-    from .verification import scaling_report
-
     ds = [int(v) for v in args.d.split(",")]
     Ns = [int(v) for v in args.N.split(",")]
     epss = [float(v) for v in args.eps.split(",")]
     rng = np.random.default_rng(args.seed)
     rows = ["d,N,eps,measured_params,param_bound,error_ratio,growth_ratio"]
+    counts = {(d, eps): [] for d in ds for eps in epss}
     for d in ds:
         drift = identity_net(d)
         growth_c = max(1.0, param_count(drift) / float(d) ** args.size_exp)
@@ -209,6 +222,7 @@ def _cmd_report(args) -> int:
                 p = vals["param_bound"]
                 err = vals["error_vs_bound_ratio"]
                 gro = vals["growth_vs_bound_ratio"]
+                counts[(d, eps)].append(int(p.measured))
                 rows.append(
                     f"{d},{N},{eps!r},{int(p.measured)},{p.bound!r},"
                     f"{err.measured!r},{gro.measured!r}"
@@ -219,6 +233,11 @@ def _cmd_report(args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    if len(set(Ns)) > 1:
+        for (d, eps), measured in counts.items():
+            slope = float(np.polyfit(np.log(Ns), np.log(measured), 1)[0])
+            print(f"# d={d} eps={eps:g}: log-log slope of params in N = {slope:.3f}",
+                  file=sys.stderr)
     return 0
 
 
@@ -264,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_info)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", required=True, choices=sorted(SUITES))
+    p.add_argument("--suite", required=True, choices=sorted(SUITES) + ["all"],
+                   help="one suite, or all of them in turn with one combined report")
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--csv", default=None)
     p.add_argument("--json", default=None)

@@ -20,12 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import DomainError, Layer, Network, ShapeError, affine
-from .ops import compose, identity_net, parallel_equal
+from .ops import compose, parallel_equal
 
 __all__ = [
     "ApproxSpec",
     "hat_net",
-    "identity_net",
     "product_net",
     "scalar_vector_product",
     "square_refinement_level",
@@ -150,6 +149,11 @@ def square_real(spec: ApproxSpec) -> Network:
     """
     eps, q = spec.epsilon, spec.q
     delta = 2.0 ** (-2.0 / (q - 2.0)) * eps ** (q / (q - 2.0))
+    if delta < sys.float_info.min:
+        raise DomainError(
+            f"q={q} and epsilon={eps} give a unit-square accuracy of {delta!r}, "
+            "below the smallest normal float; raise q or epsilon"
+        )
     unit = square_unit(delta)
     scale = (eps / 2.0) ** (1.0 / (q - 2.0))
     a1 = affine(np.array([[scale], [-scale]]))

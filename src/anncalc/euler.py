@@ -248,27 +248,40 @@ def euler_nodes(spec: EulerSpec, x, times: np.ndarray | None = None) -> list[np.
     return perturbed_iterates(_drift_fn(spec), matrices, spec.y, x)
 
 
-def euler_oracle(spec: EulerSpec, t: float, x, times: np.ndarray | None = None) -> np.ndarray:
+def euler_oracle(
+    spec: EulerSpec, t: float | np.ndarray, x, times: np.ndarray | None = None
+) -> np.ndarray:
     """Ground truth for the space-time nets: the polygonal Euler path at (t, x).
 
-    Iterates the scheme to the grid nodes and interpolates linearly on the
-    enclosing interval; a non-uniform increasing grid with t_0 = 0 and
-    t_N = T may be supplied.
+    Iterates the scheme to the grid nodes once and interpolates linearly on
+    the interval enclosing each t; a non-uniform increasing grid with
+    t_0 = 0 and t_N = T may be supplied.  A scalar t gives shape (d,), a
+    1-d array of times gives one row per entry, shape (len(t), d), each
+    bit-identical to the scalar call.
     """
     if times is None:
         times = spec.times()
     times = np.asarray(times, dtype=np.float64)
     if times.shape != (spec.N + 1,) or times[0] != 0.0 or not np.all(np.diff(times) > 0):
         raise DomainError("times must be an increasing grid of N + 1 points starting at 0")
-    if not 0.0 <= t <= times[-1]:
-        raise DomainError(f"t={t} lies outside [0, {times[-1]}]")
+    ts = np.asarray(t, dtype=np.float64)
+    if ts.ndim > 1:
+        raise ShapeError(f"t must be a scalar or a 1-d array, got shape {ts.shape}")
+    flat = np.atleast_1d(ts)
+    outside = ~((flat >= 0.0) & (flat <= times[-1]))
+    if outside.any():
+        raise DomainError(f"t={flat[np.argmax(outside)]} lies outside [0, {times[-1]}]")
     nodes = euler_nodes(spec, x, times)
-    n = min(int(np.searchsorted(times, t, side="right")) - 1, spec.N - 1)
-    n = max(n, 0)
-    dt = times[n + 1] - times[n]
-    lam = (t - times[n]) / dt
     mu = _drift_fn(spec)
-    return nodes[n] + lam * (dt * mu(nodes[n]) + spec.y[n])
+    dts = np.diff(times)
+    n = np.clip(np.searchsorted(times, flat, side="right") - 1, 0, spec.N - 1)
+    # the path is linear on each interval: one slope per interval hit
+    slopes = np.empty((spec.N, spec.d))
+    for k in np.unique(n):
+        slopes[k] = dts[k] * mu(nodes[k]) + spec.y[k]
+    lam = (flat - times[n]) / dts[n]
+    path = np.array(nodes)[n] + lam[:, np.newaxis] * slopes[n]
+    return path[0] if ts.ndim == 0 else path
 
 
 def time_hat_nets(T: float, N: int) -> list[Network]:

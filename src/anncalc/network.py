@@ -249,9 +249,6 @@ class Network:
     def output_dim(self) -> int:
         return self.layers[-1].rows
 
-    def dims(self) -> Dims:
-        return dims(self)
-
     def __repr__(self):
         return f"Network(dims={dims(self).dims})"
 
@@ -366,6 +363,20 @@ def _reject_constant(token: str):
     raise ParseError(f"{token} is not a JSON number")
 
 
+def _holds_bool(raw) -> bool:
+    if isinstance(raw, list):
+        return any(_holds_bool(v) for v in raw)
+    return isinstance(raw, bool)
+
+
+def _number_array(raw, name: str, spells_bool: bool) -> np.ndarray:
+    """``raw`` as an array; ValueError unless it holds JSON numbers only."""
+    a = np.array(raw)
+    if a.dtype.kind not in "fiu" or (spells_bool and _holds_bool(raw)):
+        raise ValueError(f"{name} must hold only JSON numbers (floats or 64-bit integers)")
+    return a
+
+
 def deserialize(data: bytes | str) -> Network:
     """Parse a serialized network, reporting the offending layer on failure."""
     if isinstance(data, bytes):
@@ -379,12 +390,18 @@ def deserialize(data: bytes | str) -> Network:
     raw_layers = doc["layers"]
     if not isinstance(raw_layers, list) or not raw_layers:
         raise ParseError("'layers' must be a non-empty list")
+    # numpy turns true/false into numbers when they share a list with
+    # numbers, so only a document that spells one needs the walk for bools
+    spells_bool = "true" in data or "false" in data
     layers = []
     for k, raw in enumerate(raw_layers):
         if not isinstance(raw, dict) or "weights" not in raw or "bias" not in raw:
             raise ParseError(f"layer {k}: missing 'weights' or 'bias'")
         try:
-            layers.append(Layer(raw["weights"], raw["bias"]))
+            # pop, so the parsed floats of a layer go once it is converted
+            weights = _number_array(raw.pop("weights"), "weights", spells_bool)
+            bias = _number_array(raw.pop("bias"), "bias", spells_bool)
+            layers.append(Layer(weights, bias))
         except (ShapeError, ValueError) as exc:
             raise ParseError(f"layer {k}: {exc}") from exc
     try:

@@ -163,6 +163,9 @@ def sup_error_on_grid(f, g, grid, weight=None) -> float:
     return float(np.max(err))
 
 
+_STRUCTURAL_KEYS = ("dims", "depth", "hidden", "inputs", "outputs", "params")
+
+
 def check_structural(net: Network, expected) -> BoundReport:
     """Exact comparison of a network's dimension data against expectations.
 
@@ -174,20 +177,11 @@ def check_structural(net: Network, expected) -> BoundReport:
     if isinstance(expected, (Dims, tuple, list)):
         expected = {"dims": tuple(expected)}
     for key, want in expected.items():
-        if key == "dims":
-            report.check_exact("dims", 0 if d.dims == tuple(want) else 1)
-        elif key == "depth":
-            report.check_exact("depth", 0 if d.depth == want else 1)
-        elif key == "hidden":
-            report.check_exact("hidden", 0 if d.hidden == want else 1)
-        elif key == "inputs":
-            report.check_exact("inputs", 0 if d.inputs == want else 1)
-        elif key == "outputs":
-            report.check_exact("outputs", 0 if d.outputs == want else 1)
-        elif key == "params":
-            report.check_exact("params", 0 if d.params == want else 1)
-        else:
+        if key not in _STRUCTURAL_KEYS:
             raise DomainError(f"unknown structural expectation {key!r}")
+        if key == "dims":
+            want = tuple(want)
+        report.check_exact(key, 0 if getattr(d, key) == want else 1)
     return report
 
 
@@ -201,13 +195,13 @@ def halton(n: int, d: int) -> np.ndarray:
     out = np.empty((n, d))
     for j in range(d):
         base = _PRIMES[j]
-        for i in range(n):
-            k, f, r = i + 1, 1.0, 0.0
-            while k > 0:
-                f /= base
-                k, digit = divmod(k, base)
-                r += digit * f
-            out[i, j] = r
+        # digit by digit for all i at once; finished entries add exact zeros
+        k, f, r = np.arange(1, n + 1), 1.0, np.zeros(n)
+        while k.any():
+            f /= base
+            k, digit = np.divmod(k, base)
+            r += digit * f
+        out[:, j] = r
     return out
 
 
@@ -870,27 +864,36 @@ def _x_points(d: int, count: int) -> np.ndarray:
     return 4.0 * halton(count, d) - 2.0
 
 
-def _spacetime_config_checks(report, spec, growth_c, tgrid, xpts, tag):
-    d, N = spec.d, spec.N
-    net = spacetime_net(spec)
-    times = spec.times()
-    inputs = GrowthBoundInputs.from_steps(growth_c, growth_c, [
-        (spec.T / N) * np.eye(d)] * N, spec.y)
+def _sweep_ratios(net, spec, tgrid, xpts, bounds) -> tuple[float, float]:
+    """Largest ||net - oracle|| / error bound and ||net|| / growth bound over
+    the (t, x) grid; bounds(x) gives the (error, growth) bound pair at each t."""
     err_ratio = growth_ratio = 0.0
     for x in xpts:
-        xn = float(np.linalg.norm(x))
-        pts = np.column_stack([tgrid, np.tile(x, (len(tgrid), 1))])
-        vals = realize(net, RELU, pts)
-        for t, val in zip(tgrid, vals):
-            n = min(int(np.searchsorted(times, t, side="right")) - 1, N - 1)
-            n = max(n, 0)
-            truth = euler_oracle(spec, float(t), x)
-            gn = gronwall_bound(inputs, xn, n)
-            gn1 = gronwall_bound(inputs, xn, n + 1)
-            err_bound = spec.epsilon * (2.0 * math.sqrt(d) + gn**spec.q + gn1**spec.q)
-            growth_bound = 6.0 * math.sqrt(d) + 2.0 * (gn**2 + gn1**2)
-            err_ratio = max(err_ratio, float(np.linalg.norm(val - truth)) / err_bound)
+        vals = realize(net, RELU, np.column_stack([tgrid, np.tile(x, (len(tgrid), 1))]))
+        truth = euler_oracle(spec, tgrid, x)
+        for val, want, (err_bound, growth_bound) in zip(vals, truth, bounds(x)):
+            err_ratio = max(err_ratio, float(np.linalg.norm(val - want)) / err_bound)
             growth_ratio = max(growth_ratio, float(np.linalg.norm(val)) / growth_bound)
+    return err_ratio, growth_ratio
+
+
+def _spacetime_config_checks(report, spec, growth_c, tgrid, xpts, tag):
+    d, N, q = spec.d, spec.N, spec.q
+    net = spacetime_net(spec)
+    inputs = GrowthBoundInputs.from_steps(growth_c, growth_c, [
+        (spec.T / N) * np.eye(d)] * N, spec.y)
+    interval = np.clip(np.searchsorted(spec.times(), tgrid, side="right") - 1, 0, N - 1)
+
+    def bounds(x):
+        g = [gronwall_bound(inputs, float(np.linalg.norm(x)), n) for n in range(N + 1)]
+        per_interval = [
+            (spec.epsilon * (2.0 * math.sqrt(d) + g[n]**q + g[n + 1]**q),
+             6.0 * math.sqrt(d) + 2.0 * (g[n]**2 + g[n + 1]**2))
+            for n in range(N)
+        ]
+        return [per_interval[n] for n in interval]
+
+    err_ratio, growth_ratio = _sweep_ratios(net, spec, tgrid, xpts, bounds)
     report.check(f"{tag}_error_vs_bound_ratio", err_ratio, 1.0)
     report.check(f"{tag}_growth_vs_bound_ratio", growth_ratio, 1.0)
     report.check(f"{tag}_param_bound", param_count(net), spacetime_param_bound(spec))
@@ -999,21 +1002,14 @@ def scaling_report(
     net = spacetime_net(spec)
     y_norm = float(np.linalg.norm(np.concatenate(spec.y)))
     tgrid = np.linspace(0.0, spec.T, 11)
-    err_ratio = growth_ratio = 0.0
-    for x in _x_points(d, 11):
+
+    def weighted_bounds(x):
         xn = float(np.linalg.norm(x))
-        pts = np.column_stack([tgrid, np.tile(x, (len(tgrid), 1))])
-        vals = realize(net, RELU, pts)
-        for t, val in zip(tgrid, vals):
-            truth = euler_oracle(spec, float(t), x)
-            err_weight = 1.0 + xn**3 + y_norm**3
-            growth_weight = 1.0 + xn**2 + y_norm**2
-            err_ratio = max(
-                err_ratio, float(np.linalg.norm(val - truth)) / (bounds["error"] * err_weight)
-            )
-            growth_ratio = max(
-                growth_ratio, float(np.linalg.norm(val)) / (bounds["growth"] * growth_weight)
-            )
+        pair = (bounds["error"] * (1.0 + xn**3 + y_norm**3),
+                bounds["growth"] * (1.0 + xn**2 + y_norm**2))
+        return [pair] * len(tgrid)
+
+    err_ratio, growth_ratio = _sweep_ratios(net, spec, tgrid, _x_points(d, 11), weighted_bounds)
     report.check(f"{tag}_error_vs_bound_ratio", err_ratio, 1.0)
     report.check(f"{tag}_growth_vs_bound_ratio", growth_ratio, 1.0)
     report.check(f"{tag}_param_bound", param_count(net), bounds["params"])

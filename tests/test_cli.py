@@ -5,7 +5,17 @@ import json
 import numpy as np
 import pytest
 
-from anncalc import RELU, dims, load_network, param_count, realize, save_network
+from anncalc import (
+    SUITES,
+    BoundReport,
+    RELU,
+    dims,
+    load_network,
+    param_count,
+    realize,
+    run_suite,
+    save_network,
+)
 from anncalc.cli import main
 
 from conftest import random_net
@@ -164,3 +174,51 @@ def test_report_sweep_emits_csv(tmp_path):
     for row in rows[1:]:
         cells = row.split(",")
         assert int(cells[3]) <= float(cells[4])
+
+
+def test_report_prints_param_slope_per_d_and_eps(tmp_path, capsys):
+    assert run("report", "--sweep", "thm1", "--d", "1", "--N", "1,2", "--eps", "1e-1,1e-2",
+               "-o", tmp_path / "sweep.csv") == 0
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 2
+    assert err[0].startswith("# d=1 eps=0.1: log-log slope of params in N = ")
+    assert err[1].startswith("# d=1 eps=0.01: log-log slope of params in N = ")
+    assert run("report", "--sweep", "thm1", "--d", "1", "--N", "1", "--eps", "1e-1",
+               "-o", tmp_path / "one.csv") == 0
+    assert capsys.readouterr().err == ""
+
+
+def _fixed_suite(passed):
+    def suite(seed):
+        report = BoundReport(metadata={"suite": "fixed", "seed": seed})
+        report.check(f"fixed_check_{passed}", 0.5 if passed else 2.0, 1.0)
+        return report
+    return suite
+
+
+@pytest.fixture
+def cheap_suites(monkeypatch):
+    """SUITES cut down to the square suite and one fixed passing suite."""
+    for name in [n for n in SUITES if n != "square"]:
+        monkeypatch.delitem(SUITES, name)
+    monkeypatch.setitem(SUITES, "fixed", _fixed_suite(True))
+    return monkeypatch
+
+
+def test_verify_all_writes_one_combined_report(tmp_path, capsys, cheap_suites):
+    csv_path, json_path = tmp_path / "all.csv", tmp_path / "all.json"
+    assert run("verify", "--suite", "all", "--csv", csv_path, "--json", json_path) == 0
+    square = run_suite("square", 7).to_csv().splitlines()
+    assert csv_path.read_text().splitlines() == square + ["fixed_check_True,0.5,1.0,0.5,True"]
+    total = len(square)  # square's entries below its header, plus the fixed check
+    doc = json.loads(json_path.read_text())
+    assert [m["suite"] for m in doc["metadata"]["suites"]] == ["square", "fixed"]
+    assert len(doc["entries"]) == total
+    assert f"suite all: {total}/{total} checks pass" in capsys.readouterr().out
+
+
+def test_verify_all_exits_one_when_a_check_fails(tmp_path, cheap_suites):
+    cheap_suites.setitem(SUITES, "failing", _fixed_suite(False))
+    csv_path = tmp_path / "all.csv"
+    assert run("verify", "--suite", "all", "--csv", csv_path) == 1
+    assert csv_path.read_text().splitlines()[-1].endswith(",False")

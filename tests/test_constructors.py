@@ -244,6 +244,13 @@ def test_square_real_spec_validation():
         ApproxSpec(0.5, 3.0, 0)
 
 
+@pytest.mark.parametrize("eps, q", [(1e-2, 2.0 + 1e-15), (1.0, 2.0019)])
+def test_square_real_rejects_underflowing_unit_accuracy(eps, q):
+    # the first underflows to 0, the second to a subnormal whose scale^-2 overflows
+    with pytest.raises(DomainError, match=f"q={q!r} and epsilon={eps!r}"):
+        square_real(ApproxSpec(eps, q))
+
+
 def test_product_annihilation_and_error():
     eps, q = 1e-2, 3.0
     net = product_net(ApproxSpec(eps, q))

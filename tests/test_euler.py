@@ -271,6 +271,23 @@ def test_euler_oracle_rejects_out_of_horizon(rng):
     spec = make_spec(rng, 2, 3, 2)
     with pytest.raises(DomainError):
         euler_oracle(spec, 1.5, np.zeros(2))
+    with pytest.raises(DomainError, match="-0.1"):
+        euler_oracle(spec, np.array([0.0, 0.5, -0.1]), np.zeros(2))
+    with pytest.raises(ShapeError):
+        euler_oracle(spec, np.zeros((2, 2)), np.zeros(2))
+
+
+@pytest.mark.parametrize("times", [None, np.array([0.0, 0.2, 0.7, 1.0])])
+def test_euler_oracle_array_t_equals_scalar_calls(rng, times):
+    spec = make_spec(rng, 2, 3, 2)
+    x = rng.standard_normal(2)
+    grid = spec.times() if times is None else times
+    interior = 0.5 * (grid[:-1] + grid[1:])
+    ts = np.concatenate([grid, interior, rng.random(7)])
+    got = euler_oracle(spec, ts, x, times)
+    want = np.stack([euler_oracle(spec, float(t), x, times) for t in ts])
+    assert got.shape == (len(ts), 2)
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

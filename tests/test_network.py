@@ -181,6 +181,24 @@ def test_deserialize_rejects_malformed_documents():
         deserialize(doc)
 
 
+@pytest.mark.parametrize(
+    "weights, bias",
+    [
+        ("[[true, false]]", '["1"]'),  # bool-only and string arrays
+        ("[[1.0, 1.0]]", '["1"]'),
+        ("[[null, 1.0]]", "[0.0]"),
+        ("[[true, 0.5]]", "[0.0]"),  # numpy would promote the bool to 1.0
+        ("[[1.0, 0.5]]", "[false]"),
+    ],
+)
+def test_deserialize_rejects_non_numbers(weights, bias):
+    first = '{"weights": [[1.0], [2.0]], "bias": [0.0, 0.0]}'
+    doc = '{"layers": [%s, {"weights": %s, "bias": %s}]}' % (first, weights, bias)
+    assert deserialize(doc.replace(weights, "[[1.0, 0.5]]").replace(bias, "[0.0]")).depth == 2
+    with pytest.raises(ParseError, match="layer 1"):
+        deserialize(doc)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_serialize_rejects_non_finite_scalars(bad):
     net = Network(((np.eye(2), np.zeros(2)), (np.array([[1.0, bad]]), np.zeros(1))))

@@ -90,6 +90,24 @@ def test_halton_is_deterministic_and_low_discrepancy():
     assert np.allclose(a[:4, 0], [0.5, 0.25, 0.75, 0.125])
 
 
+@pytest.mark.parametrize("n, d", [(10_000, 5), (10_000, 3), (64, 4), (1, 1), (0, 2)])
+def test_halton_matches_radical_inverse_bit_for_bit(n, d):
+    primes = (2, 3, 5, 7, 11)
+
+    def radical_inverse(i, base):
+        k, f, r = i, 1.0, 0.0
+        while k > 0:
+            f /= base
+            k, digit = divmod(k, base)
+            r += digit * f
+        return r
+
+    want = np.array([[radical_inverse(i + 1, primes[j]) for j in range(d)] for i in range(n)])
+    got = halton(n, d)
+    assert got.shape == (n, d)
+    assert np.array_equal(got, want.reshape(n, d))
+
+
 def test_run_suite_unknown_name():
     with pytest.raises(DomainError):
         run_suite("nope", 7)
