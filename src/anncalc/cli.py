@@ -29,6 +29,7 @@ from .network import (
     ParseError,
     RELU,
     ShapeError,
+    _number_array,
     dims,
     load_network,
     param_count,
@@ -50,19 +51,46 @@ from .verification import SUITES, BoundReport, run_suite, scaling_report
 _ACTIVATIONS = {"relu": RELU, "identity": IDENTITY}
 
 
+def _scheme_numbers(doc: dict, field: str, ndim: int) -> np.ndarray:
+    """A scheme file field under the number rules of network files."""
+    try:
+        a = _number_array(doc[field], field)
+    except ValueError as exc:
+        raise ParseError(f"scheme file field {field!r}: {exc}") from exc
+    if a.ndim != ndim:
+        kind = "a number" if ndim == 0 else "a list of vectors"
+        raise ParseError(f"scheme file field {field!r} must be {kind}, got shape {a.shape}")
+    return a
+
+
 def _load_euler_spec(path, eps=None, q=None) -> EulerSpec:
     with open(path) as fh:
-        doc = json.load(fh)
-    drift = load_network(doc["drift"])
-    y = [np.asarray(v, dtype=float) for v in doc["y"]]
+        try:
+            # NaN and Infinity tokens parse here and are refused per field
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"scheme file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("a scheme file must hold a JSON object")
+    if not isinstance(doc["drift"], str):
+        raise ParseError("scheme file field 'drift' must be the path of a network file")
+    doc = {"eps": 1.0, "q": 3.0, **doc}
     return EulerSpec(
-        drift,
-        float(doc["T"]),
-        int(doc["N"]),
-        tuple(y),
-        float(doc.get("eps", 1.0) if eps is None else eps),
-        float(doc.get("q", 3.0) if q is None else q),
+        load_network(doc["drift"]),
+        float(_scheme_numbers(doc, "T", 0)),
+        doc["N"],
+        tuple(_scheme_numbers(doc, "y", 2)),
+        float(_scheme_numbers(doc, "eps", 0)) if eps is None else eps,
+        float(_scheme_numbers(doc, "q", 0)) if q is None else q,
     )
+
+
+def _split_numbers(text: str, flag: str, kind=float) -> list:
+    """Comma-separated numbers of one flag; ParseError naming it otherwise."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ParseError(f"{flag}: {exc}") from exc
 
 
 def _cmd_build(args) -> int:
@@ -109,7 +137,7 @@ def _cmd_op(args) -> int:
     elif args.operation == "parallel":
         net = parallel_general(nets)
     elif args.operation == "sum":
-        h = [float(v) for v in args.weights.split(",")] if args.weights else None
+        h = _split_numbers(args.weights, "--weights") if args.weights else None
         if len({dims(n).dims for n in nets}) == 1:
             net = sum_equal(nets, h)
         else:
@@ -135,10 +163,15 @@ def _cmd_op(args) -> int:
 
 def _parse_points(args, input_dim) -> np.ndarray:
     if args.points:
-        rows = [r for r in args.points.split(";") if r.strip()]
-        pts = np.array([[float(v) for v in row.split(",")] for row in rows])
+        rows = [_split_numbers(r, "--points") for r in args.points.split(";") if r.strip()]
+        if len({len(row) for row in rows}) > 1:
+            raise ParseError("--points: every point needs the same number of coordinates")
+        pts = np.array(rows)
     elif args.points_csv:
-        pts = np.loadtxt(args.points_csv, delimiter=",", ndmin=2)
+        try:
+            pts = np.loadtxt(args.points_csv, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ParseError(f"--points-csv: {exc}") from exc
     else:
         raise DomainError("eval needs --points or --points-csv")
     if pts.ndim == 1:
@@ -202,11 +235,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    if args.sweep != "thm1":
-        raise DomainError(f"unknown sweep {args.sweep!r}")
-    ds = [int(v) for v in args.d.split(",")]
-    Ns = [int(v) for v in args.N.split(",")]
-    epss = [float(v) for v in args.eps.split(",")]
+    ds = _split_numbers(args.d, "--d", int)
+    Ns = _split_numbers(args.N, "--N", int)
+    epss = _split_numbers(args.eps, "--eps")
     rng = np.random.default_rng(args.seed)
     rows = ["d,N,eps,measured_params,param_bound,error_ratio,growth_ratio"]
     counts = {(d, eps): [] for d in ds for eps in epss}

@@ -168,8 +168,14 @@ def product_net(spec: ApproxSpec) -> Network:
     epsilon / (2^(q-1) + 1); annihilates exactly when either factor is 0.
     """
     eps, q = spec.epsilon, spec.q
-    delta = eps / (2.0 ** (q - 1.0) + 1.0)
-    square = square_real(ApproxSpec(delta, q))
+    try:
+        square = square_real(ApproxSpec(eps / (2.0 ** (q - 1.0) + 1.0), q))
+    except DomainError as exc:
+        # the only failure left for a valid spec is the square net's underflow
+        raise DomainError(
+            f"q={q} and epsilon={eps} give a unit-square accuracy below the "
+            "smallest normal float; raise q or epsilon"
+        ) from exc
     a1 = affine(np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]))
     a2 = affine(np.array([[0.5, -0.5, -0.5]]))
     return compose(a2, compose(parallel_equal([square, square, square]), a1))

@@ -12,9 +12,11 @@ bounds that the error contracts are phrased in.
 
 from __future__ import annotations
 
+import itertools
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -82,8 +84,8 @@ class EulerSpec:
                 f"drift must map R^d to R^d, got I={self.drift.input_dim}, "
                 f"O={self.drift.output_dim}"
             )
-        if self.N < 1:
-            raise DomainError(f"N must be a positive integer, got {self.N}")
+        if isinstance(self.N, bool) or not isinstance(self.N, numbers.Integral) or self.N < 1:
+            raise DomainError(f"N must be a positive integer, got {self.N!r}")
         if not self.T > 0.0:
             raise DomainError(f"T must be positive, got {self.T}")
         if not 0.0 < self.epsilon <= 1.0:
@@ -141,30 +143,27 @@ def residual_chain(
     psi: Network,
     phis: Sequence[Network],
     emulator: IdentityEmulator,
-    n: int,
 ) -> Network:
-    """n-fold residual recursion f_{k+1} = f_k + phi_k o f_k started at psi.
+    """Residual recursion f_{k+1} = f_k + phi_k o f_k over all of phis, from psi.
 
     All phis must share one depth L; depth-1 phis route through affine
     absorption and leave the dimension vector of psi unchanged, deeper ones
-    append their hidden layers widened by the emulator width.
+    append their hidden layers widened by the emulator width.  A shorter
+    chain is a slice of phis; no phis gives psi itself.
     """
     d = emulator.dim
     i = emulator.width
-    if n < 0 or n > len(phis):
-        raise ShapeError(f"chain length {n} not in [0, {len(phis)}]")
     if psi.input_dim != d or psi.output_dim != d:
         raise ShapeError(
             f"psi must map R^{d} to R^{d}, got I={psi.input_dim}, O={psi.output_dim}"
         )
-    if n == 0:
+    if not phis:
         return psi
-    active = list(phis[:n])
-    depths = sorted({phi.depth for phi in active})
+    depths = sorted({phi.depth for phi in phis})
     if len(depths) != 1:
         raise ShapeError(f"chain networks must share one depth, got {depths}")
     L = depths[0]
-    for k, phi in enumerate(active):
+    for k, phi in enumerate(phis):
         if phi.input_dim != d or phi.output_dim != d:
             raise ShapeError(
                 f"chain network {k} must map R^{d} to R^{d}, got "
@@ -174,22 +173,22 @@ def residual_chain(
         raise ShapeError(f"emulator width violates 2 <= i <= 2d: i={i}, d={d}")
     if L >= 2:
         ell = dims(psi)[-2]
-        first = dims(active[0])[-2]
+        first = dims(phis[0])[-2]
         if ell > first + i:
             raise ShapeError(
                 "psi's second-to-last width exceeds the first chain network's "
                 f"plus the emulator width: {ell} > {first} + {i}"
             )
-        for k in range(n - 1):
-            a = dims(active[k])[-2]
-            b = dims(active[k + 1])[-2]
+        for k in range(len(phis) - 1):
+            a = dims(phis[k])[-2]
+            b = dims(phis[k + 1])[-2]
             if a > b:
                 raise ShapeError(
                     "chain second-to-last widths must be non-decreasing: "
                     f"network {k} has {a} > {b} of network {k + 1}"
                 )
     result = psi
-    for phi in active:
+    for phi in phis:
         if L == 1:
             result = _absorb_affine_step(phi, result)
         else:
@@ -197,29 +196,30 @@ def residual_chain(
     return result
 
 
-def euler_space_net(
-    spec: EulerSpec,
-    n: int,
-    matrices: Sequence[np.ndarray] | None = None,
-    emulator: IdentityEmulator | None = None,
-) -> Network:
+def _euler_space_nets(spec: EulerSpec) -> Iterator[Network]:
+    """The spatial Euler networks xi_0 ... xi_N of the scheme, in order.
+
+    xi_0 is the identity emulator and xi_n is xi_{n-1} chained with one step
+    x -> (T/N) drift(x) + y_n, so the first n + 1 items cost n steps.
+    """
+    emulator = relu_identity(spec.d)
+    step_matrix = (spec.T / spec.N) * np.eye(spec.d)
+    net = emulator.net
+    yield net
+    for v in spec.y:
+        net = residual_chain(net, [compose(affine(step_matrix, v), spec.drift)], emulator)
+        yield net
+
+
+def euler_space_net(spec: EulerSpec, n: int) -> Network:
     """Network realizing the n-th perturbed Euler iterate x -> Y_n^{x,y}.
 
-    Step matrices default to (T/N) I_d; each step k composes the affine map
-    (A_k, y_k) onto the drift and feeds the residual chain started at the
-    identity emulator.
+    The residual chain of the first n steps x -> (T/N) drift(x) + y_k,
+    started at the identity emulator.
     """
-    d = spec.d
-    if not 0 <= n <= spec.N:
-        raise DomainError(f"step index {n} not in [0, {spec.N}]")
-    if matrices is None:
-        matrices = [(spec.T / spec.N) * np.eye(d)] * spec.N
-    if len(matrices) < n:
-        raise ShapeError(f"need {n} step matrices, got {len(matrices)}")
-    if emulator is None:
-        emulator = relu_identity(d)
-    steps = [compose(affine(matrices[k], spec.y[k]), spec.drift) for k in range(n)]
-    return residual_chain(emulator.net, steps, emulator, n)
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 0 <= n <= spec.N:
+        raise DomainError(f"step index {n!r} not in [0, {spec.N}]")
+    return next(itertools.islice(_euler_space_nets(spec), n, None))
 
 
 def perturbed_iterates(
@@ -309,9 +309,8 @@ def spacetime_net(spec: EulerSpec) -> Network:
     id_d = relu_identity(d)
     id_joint = relu_identity(d + 1)
     summands = []
-    for n in range(spec.N + 1):
-        spatial = euler_space_net(spec, n, emulator=id_d)
-        pair = parallel_general([hats[n], spatial], [id_1, id_d])
+    for hat, spatial in zip(hats, _euler_space_nets(spec)):
+        pair = parallel_general([hat, spatial], [id_1, id_d])
         summands.append(concat_identity(gamma, id_joint, pair))
     return sum_general(summands, id_d)
 

@@ -369,11 +369,19 @@ def _holds_bool(raw) -> bool:
     return isinstance(raw, bool)
 
 
-def _number_array(raw, name: str, spells_bool: bool) -> np.ndarray:
-    """``raw`` as an array; ValueError unless it holds JSON numbers only."""
+def _number_array(raw, name: str, spells_bool: bool = True) -> np.ndarray:
+    """``raw`` as an array; ValueError unless it holds finite JSON numbers only.
+
+    NaN, infinity and literals beyond the float range such as 1e999 (which
+    parse as infinity) fail one check of the converted array.
+    ``spells_bool=False`` skips the walk for bools, for callers that know
+    the text spells none.
+    """
     a = np.array(raw)
     if a.dtype.kind not in "fiu" or (spells_bool and _holds_bool(raw)):
         raise ValueError(f"{name} must hold only JSON numbers (floats or 64-bit integers)")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} must hold only finite numbers")
     return a
 
 

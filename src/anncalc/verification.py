@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -801,18 +802,18 @@ def _suite_euler(seed: int) -> BoundReport:
             )
             for w in widths
         ]
-        chain = residual_chain(emu.net, phis, emu, 4)
+        chain = residual_chain(emu.net, phis, emu)
         x = rng.standard_normal((4, d))
         want = x
         for phi in phis:
             want = want + realize(phi, RELU, want)
         chain_err = max(chain_err, _rel_err(realize(chain, RELU, x), want))
         aff = [_random_net(rng, d, d, 1) for _ in range(3)]
-        achain = residual_chain(emu.net, aff, emu, 3)
+        achain = residual_chain(emu.net, aff, emu)
         if dims(achain).dims != dims(emu.net).dims:
             chain_affine_bad += 1
     probe = _random_net(rng, 2, 2, 2)
-    if residual_chain(probe, [], relu_identity(2), 0) is not probe:
+    if residual_chain(probe, [], relu_identity(2)) is not probe:
         chain_affine_bad += 1
     report.check_identity("residual_chain_recursion_rel_err", chain_err)
     report.check_exact("residual_chain_affine_dims_preserved", chain_affine_bad)
@@ -864,6 +865,18 @@ def _x_points(d: int, count: int) -> np.ndarray:
     return 4.0 * halton(count, d) - 2.0
 
 
+def _scheme_sweep(seed: int, rng) -> Iterator[tuple[EulerSpec, str]]:
+    """The schemes the spacetime and thm1 suites measure, with their tags:
+    d in {1, 2}, N in {2, 4}, eps in {1e-1, 1e-2}, three y draws from rng."""
+    for d in (1, 2):
+        drift = _demo_drift(seed, d)
+        for N in (2, 4):
+            for eps in (1e-1, 1e-2):
+                for rep in range(3):
+                    y = tuple(0.4 * rng.standard_normal((N, d)))
+                    yield EulerSpec(drift, 1.0, N, y, eps, 3.0), f"d{d}_N{N}_eps{eps:g}_y{rep}"
+
+
 def _sweep_ratios(net, spec, tgrid, xpts, bounds) -> tuple[float, float]:
     """Largest ||net - oracle|| / error bound and ||net|| / growth bound over
     the (t, x) grid; bounds(x) gives the (error, growth) bound pair at each t."""
@@ -907,17 +920,10 @@ def _suite_spacetime(seed: int) -> BoundReport:
     )
     T = 1.0
     tgrid = np.linspace(0.0, T, 21)
-    for d in (1, 2):
-        drift = _demo_drift(seed, d)
-        growth_c = _drift_growth_constant(drift)
-        xpts = _x_points(d, 21)
-        for N in (2, 4):
-            for eps in (1e-1, 1e-2):
-                for rep in range(3):
-                    y = tuple(0.4 * rng.standard_normal((N, d)))
-                    spec = EulerSpec(drift, T, N, y, eps, 3.0)
-                    tag = f"spacetime_d{d}_N{N}_eps{eps:g}_y{rep}"
-                    _spacetime_config_checks(report, spec, growth_c, tgrid, xpts, tag)
+    for spec, tag in _scheme_sweep(seed, rng):
+        growth_c = _drift_growth_constant(spec.drift)
+        xpts = _x_points(spec.d, 21)
+        _spacetime_config_checks(report, spec, growth_c, tgrid, xpts, f"spacetime_{tag}")
 
     # structural and interpolation laws on one representative spec
     d, N, eps = 2, 4, 1e-1
@@ -1022,21 +1028,13 @@ def _suite_thm1(seed: int) -> BoundReport:
         metadata={"suite": "thm1", "seed": seed, "grid": "criterion-7 sweep + N slope"}
     )
     size_exp = 2.0
-    for d in (1, 2):
-        drift = _demo_drift(seed, d)
+    for spec, tag in _scheme_sweep(seed, rng):
+        drift = spec.drift
         growth_c = max(
-            _drift_growth_constant(drift), param_count(drift) / float(d) ** size_exp
+            _drift_growth_constant(drift), param_count(drift) / float(spec.d) ** size_exp
         )
-        for N in (2, 4):
-            for eps in (1e-1, 1e-2):
-                for rep in range(3):
-                    y = tuple(0.4 * rng.standard_normal((N, d)))
-                    spec = EulerSpec(drift, 1.0, N, y, eps, 3.0)
-                    sub = scaling_report(
-                        spec, growth_c, size_exp, seed,
-                        tag=f"thm1_d{d}_N{N}_eps{eps:g}_y{rep}",
-                    )
-                    report.entries.extend(sub.entries)
+        sub = scaling_report(spec, growth_c, size_exp, seed, tag=f"thm1_{tag}")
+        report.entries.extend(sub.entries)
 
     # parameter count scaling in N: log-log slope over N in {1,2,4,8}
     drift = _demo_drift(seed, 1)

@@ -155,6 +155,76 @@ def test_build_euler_kinds_from_spec_json(tmp_path, rng):
     assert net.input_dim == 3 and net.output_dim == 2
 
 
+@pytest.mark.parametrize(
+    "doc, names",
+    [
+        ("{not json", "not valid JSON"),
+        ("[1.0, 2]", "JSON object"),
+        ({"T": "x"}, "'T'"),
+        ({"y": 5}, "'y'"),
+        ({"y": [[0.1, float("nan")], [0.0, 0.3]]}, "'y'"),
+        ({"y": [[0.1, 1e999], [0.0, 0.3]]}, "'y'"),
+        ({"eps": True}, "'eps'"),
+        ({"drift": 5}, "'drift'"),
+        ({"N": 2.7}, "N must be a positive integer, got 2.7"),
+        ({"N": True}, "N must be a positive integer, got True"),
+    ],
+    ids=["invalid_json", "list_document", "T_string", "y_number", "y_nan", "y_overflow",
+         "eps_bool", "drift_number", "N_fraction", "N_bool"],
+)
+def test_build_rejects_bad_scheme_file(tmp_path, rng, capsys, doc, names):
+    drift_path = tmp_path / "drift.ann.json"
+    save_network(random_net(rng, 2, 2, 2, scale=0.5), drift_path)
+    if isinstance(doc, dict):
+        doc = json.dumps({
+            "drift": str(drift_path), "T": 1.0, "N": 2, "y": [[0.1, -0.2], [0.0, 0.3]], **doc
+        })
+    spec_path = tmp_path / "scheme.json"
+    spec_path.write_text(doc)
+    out = tmp_path / "xi.ann.json"
+    assert run("build", "--kind", "spacetime", "--spec", spec_path, "-o", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and names in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, csv_text",
+    [
+        (["--points", "a"], None),
+        (["--points", "1;2,3"], None),
+        (["--points-csv"], "0.5,1.0\n-2.0,z\n"),
+    ],
+    ids=["points_word", "points_ragged", "points_csv_word"],
+)
+def test_eval_rejects_bad_points(tmp_path, capsys, flags, csv_text):
+    net = tmp_path / "id.ann.json"
+    run("build", "--kind", "identity", "--d", 2, "-o", net)
+    if csv_text is not None:
+        pts = tmp_path / "pts.csv"
+        pts.write_text(csv_text)
+        flags = flags + [pts]
+    capsys.readouterr()
+    assert run("eval", net, *flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flags[0]}")
+
+
+def test_op_sum_rejects_bad_weights(tmp_path, rng, capsys):
+    a = tmp_path / "a.ann.json"
+    save_network(random_net(rng, 2, 2, 2), a)
+    assert run("op", "sum", a, a, "--weights", "1,z", "-o", tmp_path / "s.ann.json") == 1
+    assert capsys.readouterr().err.startswith("error: --weights")
+
+
+@pytest.mark.parametrize("flag, value", [("--d", "x"), ("--N", "2.5"), ("--eps", "1e-1,")])
+def test_report_rejects_bad_lists(tmp_path, capsys, flag, value):
+    argv = {"--d": "1", "--N": "1", "--eps": "1e-1", flag: value}
+    args = [v for pair in argv.items() for v in pair]
+    assert run("report", "--sweep", "thm1", *args, "-o", tmp_path / "r.csv") == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag}")
+
+
 def test_verify_square_suite_exit_zero(tmp_path, capsys):
     csv_path = tmp_path / "report.csv"
     assert run("verify", "--suite", "square", "--seed", 7, "--csv", csv_path) == 0

@@ -245,10 +245,16 @@ def test_square_real_spec_validation():
 
 
 @pytest.mark.parametrize("eps, q", [(1e-2, 2.0 + 1e-15), (1.0, 2.0019)])
-def test_square_real_rejects_underflowing_unit_accuracy(eps, q):
-    # the first underflows to 0, the second to a subnormal whose scale^-2 overflows
+@pytest.mark.parametrize(
+    "build, d",
+    [(square_real, 1), (product_net, 1), (scalar_vector_product, 2)],
+    ids=["square_real", "product_net", "scalar_vector_product"],
+)
+def test_square_real_rejects_underflowing_unit_accuracy(build, d, eps, q):
+    # the first underflows to 0, the second to a subnormal whose scale^-2
+    # overflows; products must name the caller's epsilon, not the derived one
     with pytest.raises(DomainError, match=f"q={q!r} and epsilon={eps!r}"):
-        square_real(ApproxSpec(eps, q))
+        build(ApproxSpec(eps, q, d))
 
 
 def test_product_annihilation_and_error():

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
+import anncalc.euler
 from anncalc import (
+    ApproxSpec,
     DomainError,
     EulerSpec,
     GrowthBoundInputs,
@@ -14,6 +16,7 @@ from anncalc import (
     ShapeError,
     affine,
     compose,
+    concat_identity,
     dims,
     euler_nodes,
     euler_oracle,
@@ -22,14 +25,17 @@ from anncalc import (
     gronwall_bound,
     identity_net,
     networks_equal,
+    parallel_general,
     param_count,
     perturbed_iterates,
     realize,
     relu_identity,
     residual_chain,
     residual_step,
+    scalar_vector_product,
     spacetime_net,
     spacetime_param_bound,
+    sum_general,
     time_hat_nets,
 )
 
@@ -97,14 +103,14 @@ def test_residual_step_needs_depth_two(rng):
 
 def test_residual_chain_base_case(rng):
     psi = random_net(rng, 2, 2, 2)
-    assert residual_chain(psi, [], relu_identity(2), 0) is psi
+    assert residual_chain(psi, [], relu_identity(2)) is psi
 
 
 def test_residual_chain_affine_preserves_dims(rng):
     d = 2
     emu = relu_identity(d)
     phis = [random_net(rng, d, d, 1) for _ in range(3)]
-    chain = residual_chain(emu.net, phis, emu, 3)
+    chain = residual_chain(emu.net, phis, emu)
     assert dims(chain).dims == dims(emu.net).dims
     x = rng.standard_normal((10, d))
     want = x.copy()
@@ -127,7 +133,7 @@ def test_residual_chain_matches_recursion(rng):
         )
         for w in widths
     ]
-    chain = residual_chain(emu.net, phis, emu, 4)
+    chain = residual_chain(emu.net, phis, emu)
     x = rng.standard_normal((20, d))
     want = x.copy()
     for phi in phis:
@@ -141,10 +147,10 @@ def test_residual_chain_names_failed_inequality(rng):
     wide = Network(((np.zeros((5, d)), np.zeros(5)), (np.zeros((d, 5)), np.zeros(d))))
     narrow = Network(((np.zeros((1, d)), np.zeros(1)), (np.zeros((d, 1)), np.zeros(d))))
     with pytest.raises(ShapeError, match="non-decreasing"):
-        residual_chain(emu.net, [wide, narrow], emu, 2)
+        residual_chain(emu.net, [wide, narrow], emu)
     fat_psi = Network(((np.zeros((9, d)), np.zeros(9)), (np.zeros((d, 9)), np.zeros(d))))
     with pytest.raises(ShapeError, match="second-to-last"):
-        residual_chain(fat_psi, [narrow, wide], emu, 2)
+        residual_chain(fat_psi, [narrow, wide], emu)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +224,13 @@ def test_euler_space_index_validation(rng):
         euler_space_net(spec, 4)
 
 
+@pytest.mark.parametrize("n", [1.0, True])
+def test_euler_space_rejects_non_integer_index(rng, n):
+    spec = make_spec(rng, 2, 3, 2)
+    with pytest.raises(DomainError, match="step index"):
+        euler_space_net(spec, n)
+
+
 def test_euler_spec_validation(rng):
     drift = random_net(rng, 2, 2, 2)
     with pytest.raises(ShapeError):
@@ -234,6 +247,13 @@ def test_euler_spec_validation(rng):
         EulerSpec(drift, 1.0, 1, (np.zeros(2),), epsilon=2.0)
     with pytest.raises(DomainError):
         EulerSpec(drift, 1.0, 1, (np.zeros(2),), q=2.0)
+
+
+@pytest.mark.parametrize("N", [2.7, 2.0, True, "2"])
+def test_euler_spec_rejects_non_integer_N(rng, N):
+    drift = random_net(rng, 2, 2, 2)
+    with pytest.raises(DomainError, match="N must be a positive integer"):
+        EulerSpec(drift, 1.0, N, (np.zeros(2), np.zeros(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -407,3 +427,41 @@ def test_spacetime_gather_evaluation_is_consistent(rng):
     assert np.array_equal(forward_states(net, RELU, x)[-1], batch)
     for point, row in zip(x, batch):
         assert np.allclose(realize(net, RELU, point), row, rtol=1e-12, atol=1e-12)
+
+
+def _spacetime_net_per_node(spec):
+    """The space-time net assembled with every spatial net chained from x."""
+    d = spec.d
+    emu = relu_identity(d)
+    steps = [compose(affine((spec.T / spec.N) * np.eye(d), v), spec.drift) for v in spec.y]
+    gamma = scalar_vector_product(ApproxSpec(spec.epsilon, spec.q, d))
+    id_1, id_joint = relu_identity(1), relu_identity(d + 1)
+    summands = []
+    for n, hat in enumerate(time_hat_nets(spec.T, spec.N)):
+        spatial = residual_chain(emu.net, steps[:n], emu)
+        assert networks_equal(euler_space_net(spec, n), spatial)
+        pair = parallel_general([hat, spatial], [id_1, emu])
+        summands.append(concat_identity(gamma, id_joint, pair))
+    return sum_general(summands, emu)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_spacetime_net_equals_per_node_chains(rng, depth):
+    for d, N in ((1, 1), (2, 3), (3, 5)):
+        spec = make_spec(rng, d, N, depth, eps=1e-1)
+        assert networks_equal(spacetime_net(spec), _spacetime_net_per_node(spec))
+
+
+def test_spacetime_net_makes_one_residual_step_per_node(rng, monkeypatch):
+    calls = []
+    step = anncalc.euler.residual_step
+
+    def counted(*args):
+        calls.append(args)
+        return step(*args)
+
+    monkeypatch.setattr(anncalc.euler, "residual_step", counted)
+    for N in (3, 6):
+        calls.clear()
+        spacetime_net(make_spec(rng, 2, N, 2, eps=1e-1))
+        assert len(calls) == N  # chaining each spatial net from x takes N(N+1)/2

@@ -189,6 +189,8 @@ def test_deserialize_rejects_malformed_documents():
         ("[[null, 1.0]]", "[0.0]"),
         ("[[true, 0.5]]", "[0.0]"),  # numpy would promote the bool to 1.0
         ("[[1.0, 0.5]]", "[false]"),
+        ("[[1e999, 0.5]]", "[0.0]"),  # json reads an overflowing literal as inf
+        ("[[1.0, 0.5]]", "[-1e999]"),
     ],
 )
 def test_deserialize_rejects_non_numbers(weights, bias):
