@@ -43,7 +43,6 @@ from .ops import (
     parallel_general,
     power,
     relu_identity,
-    sum_equal,
     sum_general,
 )
 from .verification import SUITES, BoundReport, run_suite, scaling_report
@@ -138,10 +137,7 @@ def _cmd_op(args) -> int:
         net = parallel_general(nets)
     elif args.operation == "sum":
         h = _split_numbers(args.weights, "--weights") if args.weights else None
-        if len({dims(n).dims for n in nets}) == 1:
-            net = sum_equal(nets, h)
-        else:
-            net = sum_general(nets, h=h)
+        net = sum_general(nets, h=h)
     elif args.operation == "power":
         if len(nets) != 1:
             raise DomainError("power takes exactly one network")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import DomainError, Layer, Network, ShapeError, affine
+from .network import DomainError, Layer, Network, ShapeError, _is_int, affine
 from .ops import compose, parallel_equal
 
 __all__ = [
@@ -51,10 +51,10 @@ class ApproxSpec:
     def __post_init__(self):
         if not 0.0 < self.epsilon <= 1.0:
             raise DomainError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        if not self.q > 2.0:
-            raise DomainError(f"q must exceed 2, got {self.q}")
-        if self.d < 1:
-            raise DomainError(f"d must be a positive integer, got {self.d}")
+        if not (self.q > 2.0 and math.isfinite(self.q)):
+            raise DomainError(f"q must be finite and exceed 2, got {self.q}")
+        if not _is_int(self.d) or self.d < 1:
+            raise DomainError(f"d must be a positive integer, got {self.d!r}")
 
 
 def tent_g(n: int, x) -> np.ndarray | float:
@@ -63,8 +63,8 @@ def tent_g(n: int, x) -> np.ndarray | float:
     Closed form: with u = 2^n x and m = floor(u), the value is u - m on even
     cells and m + 1 - u on odd cells.  Exact for dyadic inputs.
     """
-    if n < 1:
-        raise DomainError(f"tent_g needs n >= 1, got {n}")
+    if not _is_int(n) or n < 1:
+        raise DomainError(f"tent_g needs an integer n >= 1, got {n!r}")
     x = np.asarray(x, dtype=np.float64)
     u = np.ldexp(np.clip(x, 0.0, 1.0), n)
     m = np.clip(np.floor(u), 0.0, 2.0**n - 1.0)
@@ -80,8 +80,8 @@ def tent_f(n: int, x) -> np.ndarray | float:
     On [k/2^n, (k+1)/2^n] the value is ((2k+1)/2^n) x - (k^2+k)/2^(2n); the
     sup gap to x^2 is exactly 2^(-2n-2), attained at cell midpoints.
     """
-    if n < 0:
-        raise DomainError(f"tent_f needs n >= 0, got {n}")
+    if not _is_int(n) or n < 0:
+        raise DomainError(f"tent_f needs an integer n >= 0, got {n!r}")
     x = np.asarray(x, dtype=np.float64)
     if np.any((x < 0.0) | (x > 1.0)):
         raise DomainError("tent_f is defined on [0, 1] only")

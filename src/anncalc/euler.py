@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -26,6 +25,7 @@ from .network import (
     Network,
     RELU,
     ShapeError,
+    _is_int,
     affine,
     dims,
     param_count,
@@ -35,9 +35,7 @@ from .ops import (
     IdentityEmulator,
     compose,
     concat_identity,
-    parallel_equal,
     parallel_general,
-    power,
     relu_identity,
     sum_general,
 )
@@ -84,20 +82,22 @@ class EulerSpec:
                 f"drift must map R^d to R^d, got I={self.drift.input_dim}, "
                 f"O={self.drift.output_dim}"
             )
-        if isinstance(self.N, bool) or not isinstance(self.N, numbers.Integral) or self.N < 1:
+        if not _is_int(self.N) or self.N < 1:
             raise DomainError(f"N must be a positive integer, got {self.N!r}")
-        if not self.T > 0.0:
-            raise DomainError(f"T must be positive, got {self.T}")
+        if not (self.T > 0.0 and math.isfinite(self.T)):
+            raise DomainError(f"T must be finite and positive, got {self.T}")
         if not 0.0 < self.epsilon <= 1.0:
             raise DomainError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        if not self.q > 2.0:
-            raise DomainError(f"q must exceed 2, got {self.q}")
+        if not (self.q > 2.0 and math.isfinite(self.q)):
+            raise DomainError(f"q must be finite and exceed 2, got {self.q}")
         y = tuple(np.array(v, dtype=np.float64) for v in self.y)
         if len(y) != self.N:
             raise ShapeError(f"need N={self.N} perturbation vectors, got {len(y)}")
         for k, v in enumerate(y):
             if v.shape != (self.d,):
                 raise ShapeError(f"perturbation {k} has shape {v.shape}, expected ({self.d},)")
+            if not np.isfinite(v).all():
+                raise DomainError(f"y: perturbation {k} must be finite, got {v.tolist()}")
             v.setflags(write=False)
         object.__setattr__(self, "y", y)
 
@@ -112,9 +112,9 @@ class EulerSpec:
 def residual_step(phi1: Network, phi2: Network, emulator: IdentityEmulator) -> Network:
     """Network realizing x -> g(x) + f(g(x)) for f, g realized by phi1, phi2.
 
-    phi1 runs in parallel with a depth-matched emulator chain that forwards
-    phi2's value, and a fan-in adds the two; phi1 needs depth >= 2 so the
-    chain has at least one identity hop.
+    The ANN sum of phi1 and (I, 0), padded with ``emulator``, after phi2:
+    the emulator chain forwards phi2's value next to phi1.  phi1 needs
+    depth >= 2 so the chain has at least one identity hop.
     """
     d = emulator.dim
     for name, net in (("phi1", phi1), ("phi2", phi2)):
@@ -124,12 +124,7 @@ def residual_step(phi1: Network, phi2: Network, emulator: IdentityEmulator) -> N
             )
     if phi1.depth < 2:
         raise ShapeError(f"residual_step needs depth(phi1) >= 2, got {phi1.depth}")
-    eye = np.eye(d)
-    fan_in = affine(np.hstack([eye, eye]))
-    fan_out = affine(np.vstack([eye, eye]))
-    carried = power(emulator.net, phi1.depth - 1)
-    stacked = parallel_equal([phi1, carried])
-    return compose(fan_in, compose(compose(stacked, fan_out), phi2))
+    return compose(sum_general([phi1, affine(np.eye(d))], emulator), phi2)
 
 
 def _absorb_affine_step(phi: Network, psi: Network) -> Network:
@@ -217,7 +212,7 @@ def euler_space_net(spec: EulerSpec, n: int) -> Network:
     The residual chain of the first n steps x -> (T/N) drift(x) + y_k,
     started at the identity emulator.
     """
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 0 <= n <= spec.N:
+    if not _is_int(n) or not 0 <= n <= spec.N:
         raise DomainError(f"step index {n!r} not in [0, {spec.N}]")
     return next(itertools.islice(_euler_space_nets(spec), n, None))
 
@@ -290,6 +285,10 @@ def time_hat_nets(T: float, N: int) -> list[Network]:
     Node n's hat is supported on ((n-1)T/N, (n+1)T/N); the phantom nodes at
     -T/N and (N+1)T/N make the boundary hats equal 1 at t = 0 and t = T.
     """
+    if not (T > 0.0 and math.isfinite(T)):
+        raise DomainError(f"T must be finite and positive, got {T}")
+    if not _is_int(N) or N < 1:
+        raise DomainError(f"N must be a positive integer, got {N!r}")
     step = T / N
     return [hat_net((n - 1) * step, n * step, (n + 1) * step, 1.0) for n in range(N + 1)]
 
@@ -305,14 +304,12 @@ def spacetime_net(spec: EulerSpec) -> Network:
     d = spec.d
     gamma = scalar_vector_product(ApproxSpec(spec.epsilon, spec.q, d))
     hats = time_hat_nets(spec.T, spec.N)
-    id_1 = relu_identity(1)
-    id_d = relu_identity(d)
     id_joint = relu_identity(d + 1)
     summands = []
     for hat, spatial in zip(hats, _euler_space_nets(spec)):
-        pair = parallel_general([hat, spatial], [id_1, id_d])
+        pair = parallel_general([hat, spatial])
         summands.append(concat_identity(gamma, id_joint, pair))
-    return sum_general(summands, id_d)
+    return sum_general(summands)
 
 
 def product_param_budget(epsilon: float, q: float) -> float:
@@ -373,8 +370,8 @@ def gronwall_bound(inputs: GrowthBoundInputs, x_norm: float, n: int) -> float:
         (||x|| + C sum_{k<=n} |||A_k||| + max_{m<=n} ||sum_{k<=m} y_k||)
             * exp(c sum_{k<=n} |||A_k|||).
     """
-    if not 0 <= n <= len(inputs.step_norms):
-        raise DomainError(f"step index {n} not in [0, {len(inputs.step_norms)}]")
+    if not _is_int(n) or not 0 <= n <= len(inputs.step_norms):
+        raise DomainError(f"step index {n!r} not in [0, {len(inputs.step_norms)}]")
     s = float(sum(inputs.step_norms[:n]))
     return (x_norm + inputs.C * s + inputs.y_partial_max[n]) * math.exp(inputs.c * s)
 

@@ -16,6 +16,7 @@ that is mostly zeros is evaluated by gathering only its nonzero weights
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -65,6 +66,11 @@ class DomainError(ValueError):
 
 class ParseError(ValueError):
     """A serialized network document is malformed."""
+
+
+def _is_int(value) -> bool:
+    """True for an integer of any integral type; bools are not integers here."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _frozen_matrix(values) -> np.ndarray:
@@ -255,7 +261,11 @@ class Network:
 
 @dataclass(frozen=True)
 class Activation:
-    """A scalar activation applied componentwise; tagged for serialization."""
+    """A scalar activation applied componentwise.
+
+    ``kind`` names the activation (``"relu"``, ``"identity"``) in its repr;
+    no code reads it, and network files store no activation.
+    """
 
     kind: str
     fn: Callable[[np.ndarray], np.ndarray]

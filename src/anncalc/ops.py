@@ -8,7 +8,6 @@ hold exactly, not just up to realization.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -21,6 +20,7 @@ from .network import (
     Network,
     RELU,
     ShapeError,
+    _is_int,
     affine,
     dims,
     realize,
@@ -60,15 +60,21 @@ def compose(phi1: Network, phi2: Network) -> Network:
 
 
 def power(phi: Network, n: int) -> Network:
-    """n-fold composition of ``phi`` with itself; n = 0 gives (I, 0)."""
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+    """n-fold composition of ``phi`` with itself.
+
+    n = 0 gives (I, 0); a positive power starts from ``phi`` itself, so no
+    power carries (I, 0) and n = 1 returns ``phi``.
+    """
+    if not _is_int(n) or n < 0:
         raise ShapeError(f"power needs an integer n >= 0, got {n!r}")
     if phi.input_dim != phi.output_dim:
         raise ShapeError(
             f"power needs a square network, got I={phi.input_dim}, O={phi.output_dim}"
         )
-    result = affine(np.eye(phi.output_dim))
-    for _ in range(n):
+    if n == 0:
+        return affine(np.eye(phi.output_dim))
+    result = phi
+    for _ in range(n - 1):
         result = compose(phi, result)
     return result
 
@@ -78,8 +84,8 @@ def identity_net(d: int) -> Network:
 
     Dimension vector (d, 2d, d); parameter count 4d^2 + 3d.
     """
-    if d < 1:
-        raise ShapeError(f"identity_net needs d >= 1, got {d}")
+    if not _is_int(d) or d < 1:
+        raise ShapeError(f"identity_net needs an integer d >= 1, got {d!r}")
     eye = np.eye(d)
     w1 = np.vstack([eye, -eye])
     w2 = np.hstack([eye, -eye])
@@ -135,7 +141,10 @@ def _relu_identity(d: int) -> IdentityEmulator:
 
 
 def extend(L: int, emulator: IdentityEmulator, phi: Network) -> Network:
-    """Pad ``phi`` to depth ``L`` by composing with emulator powers on top."""
+    """Pad ``phi`` to depth ``L`` by composing with emulator powers on top;
+    a network already of depth ``L`` is returned itself."""
+    if not _is_int(L):
+        raise ShapeError(f"extend needs an integer depth L, got {L!r}")
     if L < phi.depth:
         raise ShapeError(f"cannot extend a depth-{phi.depth} network to depth {L}")
     if phi.output_dim != emulator.dim:
@@ -143,6 +152,8 @@ def extend(L: int, emulator: IdentityEmulator, phi: Network) -> Network:
             f"extension emulator acts on {emulator.dim} components but the network "
             f"produces {phi.output_dim}"
         )
+    if L == phi.depth:
+        return phi
     return compose(power(emulator.net, L - phi.depth), phi)
 
 
@@ -178,9 +189,9 @@ def parallel_general(
 ) -> Network:
     """Parallelization of mixed-depth networks.
 
-    Each network is padded to the maximum depth with its own emulator, then
-    stacked block-diagonally.  With ``ids=None`` canonical ReLU emulators are
-    supplied automatically.
+    Each network is extended to the maximum depth with its own emulator and
+    stacked block-diagonally, so on equal depths this is :func:`parallel_equal`.
+    With ``ids=None`` canonical ReLU emulators are supplied automatically.
     """
     if not nets:
         raise ShapeError("parallelization needs at least one network")
@@ -198,26 +209,13 @@ def parallel_general(
     return parallel_equal([extend(L, emu, net) for net, emu in zip(nets, ids)])
 
 
-def _fan_layers(n_copies: int, in_dim: int, out_dim: int, h: Sequence[float]):
-    """Fan-out (A2) duplicating the input and fan-in (A1) combining with weights h."""
-    a1 = np.hstack([float(hm) * np.eye(out_dim) for hm in h])
-    a2 = np.vstack([np.eye(in_dim)] * n_copies)
-    return affine(a1), affine(a2)
-
-
 def sum_equal(nets: Sequence[Network], h: Sequence[float] | None = None) -> Network:
-    """Weighted sum of networks with identical dimension vectors."""
-    if not nets:
-        raise ShapeError("sum needs at least one network")
-    if h is None:
-        h = [1.0] * len(nets)
-    if len(h) != len(nets):
-        raise ShapeError(f"got {len(nets)} networks but {len(h)} weights")
+    """Weighted sum of networks with identical dimension vectors:
+    :func:`sum_general`, which pads none of them."""
     ds = [dims(net).dims for net in nets]
-    if len(set(ds)) != 1:
+    if len(set(ds)) > 1:
         raise ShapeError(f"sum_equal needs identical dims, got {ds}")
-    a1, a2 = _fan_layers(len(nets), nets[0].input_dim, nets[0].output_dim, h)
-    return compose(a1, compose(parallel_equal(nets), a2))
+    return sum_general(nets, h=h)
 
 
 def sum_general(
@@ -225,7 +223,12 @@ def sum_general(
     emulator: IdentityEmulator | None = None,
     h: Sequence[float] | None = None,
 ) -> Network:
-    """Weighted sum of networks sharing only input and output dimensions."""
+    """Weighted sum of networks sharing only input and output dimensions.
+
+    A fan-out copies the input to every network, ``emulator`` (canonical
+    ReLU by default) extends each to the common depth, and a fan-in adds the
+    outputs with weights ``h``.
+    """
     if not nets:
         raise ShapeError("sum needs at least one network")
     if h is None:
@@ -246,9 +249,10 @@ def sum_general(
         raise ShapeError(
             f"sum emulator acts on {emulator.dim} components but the networks produce {out_dim}"
         )
-    a1, a2 = _fan_layers(len(nets), d_in.pop(), out_dim, h)
+    fan_in = affine(np.hstack([float(hm) * np.eye(out_dim) for hm in h]))
+    fan_out = affine(np.vstack([np.eye(d_in.pop())] * len(nets)))
     stacked = parallel_general(nets, [emulator] * len(nets))
-    return compose(a1, compose(stacked, a2))
+    return compose(fan_in, compose(stacked, fan_out))
 
 
 def concat_identity(phi1: Network, emulator: IdentityEmulator, phi2: Network) -> Network:

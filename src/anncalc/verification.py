@@ -47,6 +47,7 @@ from .network import (
     DomainError,
     Network,
     RELU,
+    _is_int,
     affine,
     dims,
     forward_states,
@@ -191,8 +192,10 @@ _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 def halton(n: int, d: int) -> np.ndarray:
     """First n points of the unscrambled Halton sequence in [0, 1)^d."""
-    if d > len(_PRIMES):
-        raise DomainError(f"halton supports up to {len(_PRIMES)} dimensions")
+    if not _is_int(n) or n < 0:
+        raise DomainError(f"halton needs an integer n >= 0, got {n!r}")
+    if not _is_int(d) or not 0 <= d <= len(_PRIMES):
+        raise DomainError(f"halton needs an integer d in [0, {len(_PRIMES)}], got {d!r}")
     out = np.empty((n, d))
     for j in range(d):
         base = _PRIMES[j]
@@ -242,10 +245,17 @@ def _mixed_parallel_bound(nets, ids) -> float:
 # calculus suite
 
 
-def _suite_calculus(seed: int, instances: int = 200) -> BoundReport:
+_CALCULUS_INSTANCES = 200
+
+
+def _suite_calculus(seed: int) -> BoundReport:
     rng = np.random.default_rng(seed)
     report = BoundReport(
-        metadata={"suite": "calculus", "seed": seed, "grid": f"{instances} random instances/law"}
+        metadata={
+            "suite": "calculus",
+            "seed": seed,
+            "grid": f"{_CALCULUS_INSTANCES} random instances/law",
+        }
     )
     xbatch = lambda d: rng.standard_normal((8, d))
 
@@ -253,7 +263,7 @@ def _suite_calculus(seed: int, instances: int = 200) -> BoundReport:
     dims_bad = depth_bad = hidden_bad = pident_bad = placement_bad = 0
     pbound_viol = -math.inf
     realize_err = 0.0
-    for _ in range(instances):
+    for _ in range(_CALCULUS_INSTANCES):
         d0, d1, d2 = (int(rng.integers(1, 5)) for _ in range(3))
         b = _random_net(rng, d0, d1, int(rng.integers(1, 4)))
         a = _random_net(rng, d1, d2, int(rng.integers(1, 4)))
@@ -309,7 +319,7 @@ def _suite_calculus(seed: int, instances: int = 200) -> BoundReport:
     # associativity
     assoc_bad = 0
     assoc_affine_err = 0.0
-    for _ in range(instances):
+    for _ in range(_CALCULUS_INSTANCES):
         d0, d1, d2, d3 = (int(rng.integers(1, 5)) for _ in range(4))
         c3 = _random_net(rng, d0, d1, int(rng.integers(1, 4)))
         c2 = _random_net(rng, d1, d2, int(rng.integers(2, 4)))
@@ -337,7 +347,7 @@ def _suite_calculus(seed: int, instances: int = 200) -> BoundReport:
 
     # affine composition parameter bounds
     left_viol = right_viol = -math.inf
-    for _ in range(instances):
+    for _ in range(_CALCULUS_INSTANCES):
         d0, d1 = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         phi = _random_net(rng, d0, d1, int(rng.integers(1, 4)))
         front = affine(rng.standard_normal((int(rng.integers(1, 5)), d1)))
@@ -360,7 +370,7 @@ def _suite_calculus(seed: int, instances: int = 200) -> BoundReport:
     power_err = extend_err = 0.0
     extend_depth_bad = 0
     extend_viol = -math.inf
-    for _ in range(instances):
+    for _ in range(_CALCULUS_INSTANCES):
         d = int(rng.integers(1, 5))
         emu = relu_identity(d)
         n = int(rng.integers(0, 4))
@@ -393,7 +403,7 @@ def _suite_calculus(seed: int, instances: int = 200) -> BoundReport:
     par_dims_bad = 0
     par_err = 0.0
     par_half_viol = par_square_viol = -math.inf
-    for _ in range(instances):
+    for _ in range(_CALCULUS_INSTANCES):
         n = int(rng.integers(1, 4))
         depth = int(rng.integers(1, 4))
         nets = [
@@ -424,7 +434,7 @@ def _suite_calculus(seed: int, instances: int = 200) -> BoundReport:
     # parallelization, mixed lengths
     gp_err = 0.0
     gp_viol = -math.inf
-    for _ in range(instances):
+    for _ in range(_CALCULUS_INSTANCES):
         n = int(rng.integers(1, 4))
         nets = [
             _random_net(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4)),
@@ -444,7 +454,7 @@ def _suite_calculus(seed: int, instances: int = 200) -> BoundReport:
     # sums
     sum_eq_err = sum_gen_err = 0.0
     sum_eq_viol = sum_gen_viol = -math.inf
-    for _ in range(instances):
+    for _ in range(_CALCULUS_INSTANCES):
         m = int(rng.integers(1, 4))
         d_in, d_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         depth = int(rng.integers(1, 4))
@@ -484,7 +494,7 @@ def _suite_calculus(seed: int, instances: int = 200) -> BoundReport:
     cc_dims_bad = cc_depth_bad = 0
     cc_err = 0.0
     cc_viol = -math.inf
-    for _ in range(instances):
+    for _ in range(_CALCULUS_INSTANCES):
         d = int(rng.integers(1, 4))
         emu = relu_identity(d)
         p2 = _random_net(rng, int(rng.integers(1, 4)), d, int(rng.integers(1, 4)))
@@ -710,8 +720,9 @@ def _suite_euler(seed: int) -> BoundReport:
         spec = EulerSpec(drift, 1.0, N, tuple(y))
         x = rng.standard_normal(d)
         nodes = euler_nodes(spec, x)
+        base_net = euler_space_net(spec, N)
         for n in (N, int(rng.integers(0, N + 1))):
-            net = euler_space_net(spec, n)
+            net = base_net if n == N else euler_space_net(spec, n)
             got = realize(net, RELU, x)
             scale = max(1.0, float(np.linalg.norm(nodes[n])))
             exact_err = max(exact_err, float(np.linalg.norm(got - nodes[n])) / scale)
@@ -729,7 +740,6 @@ def _suite_euler(seed: int) -> BoundReport:
         # continuity in y by a shrinking finite perturbation
         direction = rng.standard_normal((N, d))
         direction /= np.linalg.norm(direction)
-        base_net = euler_space_net(spec, N)
         base_val = realize(base_net, RELU, x)
         deltas = []
         for step in (1e-2, 1e-4, 1e-6):
@@ -1064,4 +1074,6 @@ def run_suite(name: str, seed: int = 7) -> BoundReport:
     """Execute one named property battery; deterministic in (name, seed)."""
     if name not in SUITES:
         raise DomainError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if not _is_int(seed) or seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed!r}")
     return SUITES[name](seed)

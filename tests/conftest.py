@@ -24,3 +24,26 @@ def random_net(rng, d_in, d_out, depth, width_hi=4, scale=1.0):
         b = scale * 0.5 * rng.standard_normal(widths[k])
         layers.append((w, b))
     return Network(tuple(layers))
+
+
+def same_bytes(a, b):
+    """Equal layer shapes and raw weight and bias bytes, so sign bits too."""
+    return len(a.layers) == len(b.layers) and all(
+        la.weights.shape == lb.weights.shape
+        and la.weights.tobytes() == lb.weights.tobytes()
+        and la.bias.tobytes() == lb.bias.tobytes()
+        for la, lb in zip(a.layers, b.layers)
+    )
+
+
+def spy(monkeypatch, module, name):
+    """Record every call of ``module.name`` for the test; returns the list of calls."""
+    calls = []
+    fn = getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls

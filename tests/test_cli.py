@@ -5,9 +5,11 @@ import json
 import numpy as np
 import pytest
 
+import anncalc.cli
 from anncalc import (
     SUITES,
     BoundReport,
+    Network,
     RELU,
     dims,
     load_network,
@@ -15,10 +17,12 @@ from anncalc import (
     realize,
     run_suite,
     save_network,
+    serialize,
+    sum_equal,
 )
 from anncalc.cli import main
 
-from conftest import random_net
+from conftest import random_net, spy
 
 
 def run(*argv):
@@ -99,6 +103,21 @@ def test_op_sum_and_extend(tmp_path, rng):
     out2 = tmp_path / "e.ann.json"
     assert run("op", "extend", a, "--L", 5, "-o", out2) == 0
     assert load_network(out2).depth == 5
+
+
+def test_op_sum_of_identical_dims_is_one_sum_general(tmp_path, rng, monkeypatch):
+    calls = spy(monkeypatch, anncalc.cli, "sum_general")
+    base = random_net(rng, 2, 3, 2)
+    a, b = tmp_path / "a.ann.json", tmp_path / "b.ann.json"
+    save_network(base, a)
+    save_network(
+        Network(tuple((rng.standard_normal(l.weights.shape), l.bias) for l in base.layers)), b
+    )
+    out = tmp_path / "s.ann.json"
+    assert run("op", "sum", a, b, "--weights", "0.5,-2", "-o", out) == 0
+    want = sum_equal([load_network(a), load_network(b)], [0.5, -2.0])
+    assert out.read_bytes() == serialize(want)
+    assert len(calls) == 1
 
 
 def test_eval_identity_and_square(tmp_path, capsys):
@@ -232,6 +251,11 @@ def test_verify_square_suite_exit_zero(tmp_path, capsys):
     assert text.startswith("quantity,measured,bound,margin,pass")
     out = capsys.readouterr().out
     assert "suite square" in out
+
+
+def test_verify_rejects_negative_seed(capsys):
+    assert run("verify", "--suite", "euler", "--seed", -1) == 1
+    assert capsys.readouterr().err.startswith("error: seed must be a non-negative integer")
 
 
 def test_report_sweep_emits_csv(tmp_path):

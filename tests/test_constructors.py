@@ -244,6 +244,26 @@ def test_square_real_spec_validation():
         ApproxSpec(0.5, 3.0, 0)
 
 
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        ((0.1, 3.0, 2.5), "d must be a positive integer, got 2.5"),
+        ((0.1, 3.0, True), "d must be a positive integer, got True"),
+        ((0.1, math.inf), "q must be finite and exceed 2, got inf"),
+        ((0.1, math.nan), "q must be finite and exceed 2, got nan"),
+    ],
+)
+def test_approx_spec_rejects_non_integer_d_and_non_finite_q(args, match):
+    with pytest.raises(DomainError, match=match):
+        ApproxSpec(*args)
+
+
+@pytest.mark.parametrize("tent, n", [(tent_g, 1.5), (tent_g, True), (tent_f, 2.0)])
+def test_tents_reject_non_integer_levels(tent, n):
+    with pytest.raises(DomainError, match=f"integer n >= ., got {n!r}"):
+        tent(n, 0.3)
+
+
 @pytest.mark.parametrize("eps, q", [(1e-2, 2.0 + 1e-15), (1.0, 2.0019)])
 @pytest.mark.parametrize(
     "build, d",

@@ -25,6 +25,7 @@ from anncalc import (
     gronwall_bound,
     identity_net,
     networks_equal,
+    parallel_equal,
     parallel_general,
     param_count,
     perturbed_iterates,
@@ -39,7 +40,7 @@ from anncalc import (
     time_hat_nets,
 )
 
-from conftest import random_net
+from conftest import random_net, same_bytes, spy
 
 
 def make_spec(rng, d, N, depth, y_scale=0.3, eps=1.0, q=3.0):
@@ -93,6 +94,29 @@ def test_residual_step_dims_and_param_identity(rng):
             + i * sum(d1[1 : L1 - 1])
         )
         assert param_count(net) == expected
+
+
+def _fan_residual_step(phi1, phi2, emulator):
+    """The residual step spelled out: fan-out, phi1 next to an emulator chain
+    started from (I, 0), fan-in, after phi2."""
+    eye = np.eye(emulator.dim)
+    carried = affine(eye)
+    for _ in range(phi1.depth - 1):
+        carried = compose(emulator.net, carried)
+    stacked = parallel_equal([phi1, carried])
+    fan_in, fan_out = affine(np.hstack([eye, eye])), affine(np.vstack([eye, eye]))
+    return compose(fan_in, compose(compose(stacked, fan_out), phi2))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("L1", [2, 3])
+@pytest.mark.parametrize("L2", [1, 2])
+def test_residual_step_is_one_sum_general(rng, monkeypatch, d, L1, L2):
+    calls = spy(monkeypatch, anncalc.euler, "sum_general")
+    emu = relu_identity(d)
+    phi1, phi2 = random_net(rng, d, d, L1), random_net(rng, d, d, L2)
+    assert same_bytes(residual_step(phi1, phi2, emu), _fan_residual_step(phi1, phi2, emu))
+    assert len(calls) == 1
 
 
 def test_residual_step_needs_depth_two(rng):
@@ -310,8 +334,32 @@ def test_euler_oracle_array_t_equals_scalar_calls(rng, times):
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize(
+    "field, kwargs",
+    [
+        ("T", {"T": math.inf}),
+        ("T", {"T": math.nan}),
+        ("q", {"q": math.inf}),
+        ("q", {"q": math.nan}),
+        ("y: perturbation 1", {"y": ([0.0, 0.0], [0.0, math.nan])}),
+        ("y: perturbation 0", {"y": ([math.inf, 0.0], [0.0, 0.0])}),
+    ],
+)
+def test_euler_spec_rejects_non_finite_scalars(rng, field, kwargs):
+    args = {"T": 1.0, "y": ([0.0, 0.0], [0.0, 0.0]), "q": 3.0, **kwargs}
+    with pytest.raises(DomainError, match=field):
+        EulerSpec(random_net(rng, 2, 2, 2), args["T"], 2, args["y"], q=args["q"])
+
+
 # ---------------------------------------------------------------------------
 # Gronwall bound
+
+
+@pytest.mark.parametrize("n", [1.5, True, -1, 4])
+def test_gronwall_rejects_bad_step_index(n):
+    inputs = GrowthBoundInputs.from_steps(1.0, 1.0, [np.eye(2)] * 3, [np.zeros(2)] * 3)
+    with pytest.raises(DomainError, match=f"step index {n!r}"):
+        gronwall_bound(inputs, 1.0, n)
 
 
 def test_gronwall_zero_growth_case():
@@ -352,6 +400,16 @@ def test_gronwall_dominates_random_linear_drifts(rng):
 
 # ---------------------------------------------------------------------------
 # space-time networks
+
+
+@pytest.mark.parametrize(
+    "T, N, match",
+    [(1.0, 0, "N must"), (1.0, 2.5, "N must"), (1.0, True, "N must"),
+     (0.0, 2, "T must"), (math.inf, 2, "T must")],
+)
+def test_time_hats_reject_bad_grid(T, N, match):
+    with pytest.raises(DomainError, match=match):
+        time_hat_nets(T, N)
 
 
 def test_time_hats_partition_of_unity():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import anncalc.ops
 from anncalc import (
     IdentityEmulator,
     Network,
@@ -28,7 +29,7 @@ from anncalc import (
     sum_general,
 )
 
-from conftest import random_net
+from conftest import random_net, same_bytes, spy
 
 
 def seeded_net(seed, d_in, d_out, depth):
@@ -132,6 +133,28 @@ def test_extend_by_zero_is_bit_identical(rng):
     # power-0 head fuses with an exact identity matrix
     phi = random_net(rng, 2, 3, 2)
     assert networks_equal(extend(phi.depth, relu_identity(3), phi), phi)
+
+
+def test_padding_to_own_depth_returns_the_network(rng):
+    phi = random_net(rng, 2, 3, 3)
+    assert extend(phi.depth, relu_identity(3), phi) is phi
+    square = random_net(rng, 3, 3, 2)
+    assert power(square, 1) is square
+    emu = relu_identity(2)
+    assert power(emu.net, 1) is emu.net
+    assert extend(2, emu, emu.net) is emu.net
+
+
+@pytest.mark.parametrize("L", [3.5, 3.0, True, "3", None])
+def test_extend_rejects_non_integer_depth(rng, L):
+    with pytest.raises(ShapeError, match=f"integer depth L, got {L!r}"):
+        extend(L, relu_identity(2), random_net(rng, 2, 2, 2))
+
+
+@pytest.mark.parametrize("d", [2.5, 2.0, True, 0])
+def test_identity_net_rejects_non_integer_width(d):
+    with pytest.raises(ShapeError, match="integer d >= 1"):
+        identity_net(d)
 
 
 def test_extend_preserves_hat_function():
@@ -300,6 +323,22 @@ def test_sum_equal_rejects_empty_and_mixed():
         sum_equal([])
     with pytest.raises(ShapeError):
         sum_equal([identity_net(1), identity_net(2)])
+
+
+def test_sum_equal_is_sum_general_with_bytes_of_the_fan_formula(rng, monkeypatch):
+    calls = spy(monkeypatch, anncalc.ops, "sum_general")
+    base = random_net(rng, 2, 3, 3)
+    nets = [base] + [
+        Network(tuple((rng.standard_normal(l.weights.shape), l.bias) for l in base.layers))
+        for _ in range(2)
+    ]
+    for h in ([0.5, -1.5, 2.0], None):
+        weights = [1.0] * 3 if h is None else h
+        fan_in = affine(np.hstack([hm * np.eye(3) for hm in weights]))
+        fan_out = affine(np.vstack([np.eye(2)] * 3))
+        want = compose(fan_in, compose(parallel_equal(nets), fan_out))
+        assert same_bytes(sum_equal(nets, h), want)
+    assert len(calls) == 2
 
 
 def test_sum_general_single_net(rng):

@@ -108,9 +108,21 @@ def test_halton_matches_radical_inverse_bit_for_bit(n, d):
     assert np.array_equal(got, want.reshape(n, d))
 
 
+@pytest.mark.parametrize("n, d", [(-1, 2), (2.5, 2), (True, 2), (3, 13), (3, -1), (3, 1.0)])
+def test_halton_rejects_bad_sizes(n, d):
+    with pytest.raises(DomainError, match="halton needs an integer"):
+        halton(n, d)
+
+
 def test_run_suite_unknown_name():
     with pytest.raises(DomainError):
         run_suite("nope", 7)
+
+
+@pytest.mark.parametrize("seed", [2.5, True, -1, "7"])
+def test_run_suite_rejects_bad_seed(seed):
+    with pytest.raises(DomainError, match=f"seed must be a non-negative integer, got {seed!r}"):
+        run_suite("euler", seed)
 
 
 def test_run_suite_reports_are_byte_identical():
