@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import DomainError, Layer, Network, ShapeError, _is_int, affine
+from .network import DomainError, Layer, Network, ShapeError, _is_int, _is_real, affine
 from .ops import compose, parallel_equal
 
 __all__ = [
@@ -49,10 +49,10 @@ class ApproxSpec:
     d: int = 1
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon <= 1.0:
-            raise DomainError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        if not (self.q > 2.0 and math.isfinite(self.q)):
-            raise DomainError(f"q must be finite and exceed 2, got {self.q}")
+        if not (_is_real(self.epsilon) and 0.0 < self.epsilon <= 1.0):
+            raise DomainError(f"epsilon must lie in (0, 1], got {self.epsilon!r}")
+        if not (_is_real(self.q) and self.q > 2.0 and math.isfinite(self.q)):
+            raise DomainError(f"q must be finite and exceed 2, got {self.q!r}")
         if not _is_int(self.d) or self.d < 1:
             raise DomainError(f"d must be a positive integer, got {self.d!r}")
 
@@ -97,8 +97,8 @@ def square_refinement_level(epsilon: float) -> int:
     integer are snapped before rounding up, so exact powers of four do not
     get an extra layer.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise DomainError(f"epsilon must lie in (0, 1], got {epsilon}")
+    if not (_is_real(epsilon) and 0.0 < epsilon <= 1.0):
+        raise DomainError(f"epsilon must lie in (0, 1], got {epsilon!r}")
     t = -0.5 * math.log2(epsilon)
     nearest = round(t)
     if abs(t - nearest) <= 4.0 * sys.float_info.epsilon * max(1.0, abs(t)):
@@ -203,6 +203,9 @@ def hat_net(alpha: float, beta: float, gamma: float, h: float) -> Network:
     Zero outside (alpha, gamma), rising with slope h/(beta-alpha), falling
     with slope h/(gamma-beta); dims (1, 4, 1), 13 parameters.
     """
+    for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma), ("h", h)):
+        if not (_is_real(value) and math.isfinite(value)):
+            raise DomainError(f"{name} must be a finite number, got {value!r}")
     if not alpha < beta < gamma:
         raise DomainError(f"need alpha < beta < gamma, got ({alpha}, {beta}, {gamma})")
     rise = beta - alpha

@@ -26,6 +26,7 @@ from .network import (
     RELU,
     ShapeError,
     _is_int,
+    _is_real,
     affine,
     dims,
     param_count,
@@ -84,12 +85,12 @@ class EulerSpec:
             )
         if not _is_int(self.N) or self.N < 1:
             raise DomainError(f"N must be a positive integer, got {self.N!r}")
-        if not (self.T > 0.0 and math.isfinite(self.T)):
-            raise DomainError(f"T must be finite and positive, got {self.T}")
-        if not 0.0 < self.epsilon <= 1.0:
-            raise DomainError(f"epsilon must lie in (0, 1], got {self.epsilon}")
-        if not (self.q > 2.0 and math.isfinite(self.q)):
-            raise DomainError(f"q must be finite and exceed 2, got {self.q}")
+        if not (_is_real(self.T) and self.T > 0.0 and math.isfinite(self.T)):
+            raise DomainError(f"T must be finite and positive, got {self.T!r}")
+        if not (_is_real(self.epsilon) and 0.0 < self.epsilon <= 1.0):
+            raise DomainError(f"epsilon must lie in (0, 1], got {self.epsilon!r}")
+        if not (_is_real(self.q) and self.q > 2.0 and math.isfinite(self.q)):
+            raise DomainError(f"q must be finite and exceed 2, got {self.q!r}")
         y = tuple(np.array(v, dtype=np.float64) for v in self.y)
         if len(y) != self.N:
             raise ShapeError(f"need N={self.N} perturbation vectors, got {len(y)}")
@@ -285,8 +286,8 @@ def time_hat_nets(T: float, N: int) -> list[Network]:
     Node n's hat is supported on ((n-1)T/N, (n+1)T/N); the phantom nodes at
     -T/N and (N+1)T/N make the boundary hats equal 1 at t = 0 and t = T.
     """
-    if not (T > 0.0 and math.isfinite(T)):
-        raise DomainError(f"T must be finite and positive, got {T}")
+    if not (_is_real(T) and T > 0.0 and math.isfinite(T)):
+        raise DomainError(f"T must be finite and positive, got {T!r}")
     if not _is_int(N) or N < 1:
         raise DomainError(f"N must be a positive integer, got {N!r}")
     step = T / N
@@ -320,7 +321,7 @@ def product_param_budget(epsilon: float, q: float) -> float:
 def spacetime_param_bound(spec: EulerSpec) -> float:
     """Closed-form upper bound for param_count(spacetime_net(spec))."""
     d, N = spec.d, spec.N
-    H = spec.drift.hidden
+    H = dims(spec.drift).hidden
     P = param_count(spec.drift)
     budget = product_param_budget(spec.epsilon, spec.q)
     inner = 23.0 + 6.0 * N * H + 7.0 * d**2 + N * (4.0 * d**2 + P) ** 2
@@ -342,9 +343,9 @@ class GrowthBoundInputs:
     y_partial_max: tuple[float, ...]
 
     def __post_init__(self):
-        if self.C < 0.0 or self.c < 0.0:
+        if not self.C >= 0.0 or not self.c >= 0.0:
             raise DomainError(f"growth constants must be non-negative, got C={self.C}, c={self.c}")
-        if any(a < 0.0 for a in self.step_norms):
+        if any(not a >= 0.0 for a in self.step_norms):
             raise DomainError("operator norms must be non-negative")
         if len(self.y_partial_max) != len(self.step_norms) + 1:
             raise ShapeError(

@@ -73,6 +73,11 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """True for a real number of any real type; bools are not numbers here."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _frozen_matrix(values) -> np.ndarray:
     a = np.array(values, dtype=np.float64, order="C")
     if a.ndim != 2:
@@ -242,10 +247,6 @@ class Network:
     @property
     def depth(self) -> int:
         return len(self.layers)
-
-    @property
-    def hidden(self) -> int:
-        return len(self.layers) - 1
 
     @property
     def input_dim(self) -> int:

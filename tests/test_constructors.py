@@ -153,6 +153,14 @@ def test_hat_net_rejects_bad_ordering():
         hat_net(1.0, 1.0, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "h"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, "1", True])
+def test_hat_net_rejects_non_finite_arguments(name, value):
+    args = {"alpha": 0.0, "beta": 1.0, "gamma": 2.0, "h": 1.0, name: value}
+    with pytest.raises(DomainError, match=f"{name} must be a finite number, got {value!r}"):
+        hat_net(**args)
+
+
 # ---------------------------------------------------------------------------
 # square on [0, 1]
 

@@ -217,7 +217,7 @@ def test_euler_space_hidden_count_law(rng):
         spec = make_spec(rng, 2, 5, depth)
         for n in (0, 2, 5):
             net = euler_space_net(spec, n)
-            assert net.hidden == 1 + n * spec.drift.hidden
+            assert dims(net).hidden == 1 + n * dims(spec.drift).hidden
 
 
 def test_euler_space_param_bound(rng):
@@ -362,6 +362,37 @@ def test_gronwall_rejects_bad_step_index(n):
         gronwall_bound(inputs, 1.0, n)
 
 
+@pytest.mark.parametrize(
+    "C, c, norms, match",
+    [(math.nan, 1.0, (1.0,), "growth constants"), (1.0, math.nan, (1.0,), "growth constants"),
+     (1.0, 1.0, (math.nan,), "operator norms")],
+)
+def test_growth_bound_inputs_reject_nan(C, c, norms, match):
+    with pytest.raises(DomainError, match=match):
+        GrowthBoundInputs(C, c, norms, (0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "build, args, kwargs, match",
+    [
+        (EulerSpec, ("1", 1), {}, "T must be finite and positive, got '1'"),
+        (EulerSpec, (True, 1), {}, "T must be finite and positive, got True"),
+        (EulerSpec, (1.0, 1), {"epsilon": "0.1"}, r"epsilon must lie in \(0, 1\], got '0.1'"),
+        (EulerSpec, (1.0, 1), {"q": "3"}, "q must be finite and exceed 2, got '3'"),
+        (ApproxSpec, ("0.1", 3.0), {}, r"epsilon must lie in \(0, 1\], got '0.1'"),
+        (ApproxSpec, (0.1, "3"), {}, "q must be finite and exceed 2, got '3'"),
+        (time_hat_nets, ("1", 2), {}, "T must be finite and positive, got '1'"),
+    ],
+    ids=["EulerSpec_T", "EulerSpec_T_bool", "EulerSpec_epsilon", "EulerSpec_q",
+         "ApproxSpec_epsilon", "ApproxSpec_q", "time_hat_nets_T"],
+)
+def test_non_number_scalars_raise_domain_error(build, args, kwargs, match):
+    if build is EulerSpec:
+        args = (identity_net(1), *args, ([0.0],))
+    with pytest.raises(DomainError, match=match):
+        build(*args, **kwargs)
+
+
 def test_gronwall_zero_growth_case():
     y = [np.array([1.0, 0.0]), np.array([1.0, 0.0]), np.array([-3.0, 0.0])]
     inputs = GrowthBoundInputs.from_steps(0.0, 0.0, [np.eye(2)] * 3, y)
@@ -470,7 +501,7 @@ def test_spacetime_depth_is_uniform_max_summand(rng):
     spec = make_spec(rng, 2, 3, 2, eps=1e-1)
     gamma = scalar_vector_product(ApproxSpec(spec.epsilon, spec.q, spec.d))
     net = spacetime_net(spec)
-    assert net.depth == gamma.depth + 2 + spec.N * spec.drift.hidden
+    assert net.depth == gamma.depth + 2 + spec.N * dims(spec.drift).hidden
 
 
 def test_spacetime_gather_evaluation_is_consistent(rng):

@@ -1,6 +1,7 @@
 """Report plumbing: tolerances, formats, determinism, suite dispatch."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -30,6 +31,48 @@ def test_bound_report_semantics():
     assert rep.entries[0].margin == 1.0
     assert not rep.all_pass
     assert len(rep.failures()) == 3
+
+
+def test_law_accumulator_rows_match_direct_checks():
+    from anncalc.verification import _Law
+
+    rep = BoundReport()
+    broken = _Law.exact(rep, "broken")
+    late = _Law.excess(rep, "late", headroom=0.0)
+    err = _Law.identity(rep, "err", 1e-15)
+    loose = _Law.excess(rep, "loose")
+    for declare, name in ((_Law.exact, "never_exact"), (_Law.identity, "never_identity"),
+                          (_Law.excess, "never_excess")):
+        declare(rep, name)  # no draw reaches these laws
+    for draw in range(3):
+        # draw 1 breaks the exact law three times, draw 2 once
+        for _ in range([0, 3, 1][draw]):
+            broken.count(True)
+        broken.count(False)
+        if draw > 0:  # the first draw skips this law
+            late.observe([None, -2.0, -3.0][draw])
+        err.observe([3e-16, 5e-16, 1e-16][draw])
+        loose.observe([-1.0, 5e-10, 0.0][draw])
+    assert [law.value for law in (broken, late, err, loose)] == [4, -2.0, 5e-16, 5e-10]
+
+    want = BoundReport()
+    want.check_exact("broken", 4)
+    want.check("late", -2.0, 0.0, headroom=0.0)
+    want.check_identity("err", 5e-16, 1e-15)
+    want.check("loose", 5e-10, 0.0)
+    want.check_exact("never_exact", 0)
+    want.check_identity("never_identity", 0.0)
+    want.check("never_excess", -math.inf, 0.0)
+    assert rep.entries == want.entries
+    assert [e.passed for e in rep.entries] == [False, True, True, True, True, True, True]
+    assert rep.to_csv().splitlines()[-3:] == [
+        "never_exact,0.0,0.0,0.0,True",
+        "never_identity,0.0,1e-12,1e-12,True",
+        "never_excess,-inf,0.0,inf,True",
+    ]
+    tight = _Law.excess(rep, "tight", headroom=0.0)
+    tight.observe(5e-10)
+    assert not rep.entries[-1].passed
 
 
 def test_report_csv_and_json_formats():
