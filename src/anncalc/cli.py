@@ -244,7 +244,7 @@ def _cmd_report(args) -> int:
             y = tuple(0.3 * rng.standard_normal((N, d)))
             for eps in epss:
                 spec = EulerSpec(drift, args.T, N, y, eps, 3.0)
-                rep = scaling_report(spec, growth_c, args.size_exp, args.seed)
+                rep = scaling_report(spec, growth_c, args.size_exp)
                 vals = {e.name.split("_", 1)[1]: e for e in rep.entries}
                 p = vals["param_bound"]
                 err = vals["error_vs_bound_ratio"]

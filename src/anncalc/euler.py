@@ -60,6 +60,13 @@ __all__ = [
 ]
 
 
+def _check_grid(T, N) -> None:
+    if not (_is_real(T) and T > 0.0 and math.isfinite(T)):
+        raise DomainError(f"T must be finite and positive, got {T!r}")
+    if not _is_int(N) or N < 1:
+        raise DomainError(f"N must be a positive integer, got {N!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class EulerSpec:
     """A perturbed Euler scheme on the uniform grid t_n = n T / N.
@@ -83,14 +90,8 @@ class EulerSpec:
                 f"drift must map R^d to R^d, got I={self.drift.input_dim}, "
                 f"O={self.drift.output_dim}"
             )
-        if not _is_int(self.N) or self.N < 1:
-            raise DomainError(f"N must be a positive integer, got {self.N!r}")
-        if not (_is_real(self.T) and self.T > 0.0 and math.isfinite(self.T)):
-            raise DomainError(f"T must be finite and positive, got {self.T!r}")
-        if not (_is_real(self.epsilon) and 0.0 < self.epsilon <= 1.0):
-            raise DomainError(f"epsilon must lie in (0, 1], got {self.epsilon!r}")
-        if not (_is_real(self.q) and self.q > 2.0 and math.isfinite(self.q)):
-            raise DomainError(f"q must be finite and exceed 2, got {self.q!r}")
+        _check_grid(self.T, self.N)
+        ApproxSpec(self.epsilon, self.q)
         y = tuple(np.array(v, dtype=np.float64) for v in self.y)
         if len(y) != self.N:
             raise ShapeError(f"need N={self.N} perturbation vectors, got {len(y)}")
@@ -125,14 +126,12 @@ def residual_step(phi1: Network, phi2: Network, emulator: IdentityEmulator) -> N
             )
     if phi1.depth < 2:
         raise ShapeError(f"residual_step needs depth(phi1) >= 2, got {phi1.depth}")
-    return compose(sum_general([phi1, affine(np.eye(d))], emulator), phi2)
+    return _residual_link(phi1, phi2, emulator)
 
 
-def _absorb_affine_step(phi: Network, psi: Network) -> Network:
-    """Depth-1 residual step: fold x -> A x + b into x -> (A + I) x + b."""
-    layer = phi.layers[0]
-    absorbed = affine(layer.weights + np.eye(layer.rows), layer.bias)
-    return compose(absorbed, psi)
+def _residual_link(phi: Network, psi: Network, emulator: IdentityEmulator) -> Network:
+    """The one residual formula: the ANN sum of phi and (I, 0) after psi."""
+    return compose(sum_general([phi, affine(np.eye(emulator.dim))], emulator), psi)
 
 
 def residual_chain(
@@ -142,10 +141,12 @@ def residual_chain(
 ) -> Network:
     """Residual recursion f_{k+1} = f_k + phi_k o f_k over all of phis, from psi.
 
-    All phis must share one depth L; depth-1 phis route through affine
-    absorption and leave the dimension vector of psi unchanged, deeper ones
-    append their hidden layers widened by the emulator width.  A shorter
-    chain is a slice of phis; no phis gives psi itself.
+    Every link is the ANN sum of phi_k and (I, 0) after f_k.  All phis must
+    share one depth L; a depth-1 phi = (A, b) needs no padding, so its link
+    is the affine layer (A + I, b) and leaves the dimension vector of psi
+    unchanged, while deeper ones append their hidden layers widened by the
+    emulator width.  A shorter chain is a slice of phis; no phis gives psi
+    itself.
     """
     d = emulator.dim
     i = emulator.width
@@ -185,10 +186,7 @@ def residual_chain(
                 )
     result = psi
     for phi in phis:
-        if L == 1:
-            result = _absorb_affine_step(phi, result)
-        else:
-            result = residual_step(phi, result, emulator)
+        result = _residual_link(phi, result, emulator)
     return result
 
 
@@ -236,30 +234,21 @@ def _drift_fn(spec: EulerSpec) -> Callable[[np.ndarray], np.ndarray]:
     return lambda v: realize(spec.drift, RELU, v)
 
 
-def euler_nodes(spec: EulerSpec, x, times: np.ndarray | None = None) -> list[np.ndarray]:
+def euler_nodes(spec: EulerSpec, x) -> list[np.ndarray]:
     """Euler iterates Y_0 ... Y_N of the scheme at the grid nodes."""
-    if times is None:
-        times = spec.times()
-    matrices = [dt * np.eye(spec.d) for dt in np.diff(times)]
+    matrices = [dt * np.eye(spec.d) for dt in np.diff(spec.times())]
     return perturbed_iterates(_drift_fn(spec), matrices, spec.y, x)
 
 
-def euler_oracle(
-    spec: EulerSpec, t: float | np.ndarray, x, times: np.ndarray | None = None
-) -> np.ndarray:
+def euler_oracle(spec: EulerSpec, t: float | np.ndarray, x) -> np.ndarray:
     """Ground truth for the space-time nets: the polygonal Euler path at (t, x).
 
-    Iterates the scheme to the grid nodes once and interpolates linearly on
-    the interval enclosing each t; a non-uniform increasing grid with
-    t_0 = 0 and t_N = T may be supplied.  A scalar t gives shape (d,), a
-    1-d array of times gives one row per entry, shape (len(t), d), each
-    bit-identical to the scalar call.
+    Iterates the scheme to the nodes of its uniform grid once and
+    interpolates linearly on the interval enclosing each t.  A scalar t gives
+    shape (d,), a 1-d array of times gives one row per entry, shape
+    (len(t), d), each bit-identical to the scalar call.
     """
-    if times is None:
-        times = spec.times()
-    times = np.asarray(times, dtype=np.float64)
-    if times.shape != (spec.N + 1,) or times[0] != 0.0 or not np.all(np.diff(times) > 0):
-        raise DomainError("times must be an increasing grid of N + 1 points starting at 0")
+    times = spec.times()
     ts = np.asarray(t, dtype=np.float64)
     if ts.ndim > 1:
         raise ShapeError(f"t must be a scalar or a 1-d array, got shape {ts.shape}")
@@ -267,7 +256,7 @@ def euler_oracle(
     outside = ~((flat >= 0.0) & (flat <= times[-1]))
     if outside.any():
         raise DomainError(f"t={flat[np.argmax(outside)]} lies outside [0, {times[-1]}]")
-    nodes = euler_nodes(spec, x, times)
+    nodes = euler_nodes(spec, x)
     mu = _drift_fn(spec)
     dts = np.diff(times)
     n = np.clip(np.searchsorted(times, flat, side="right") - 1, 0, spec.N - 1)
@@ -286,31 +275,28 @@ def time_hat_nets(T: float, N: int) -> list[Network]:
     Node n's hat is supported on ((n-1)T/N, (n+1)T/N); the phantom nodes at
     -T/N and (N+1)T/N make the boundary hats equal 1 at t = 0 and t = T.
     """
-    if not (_is_real(T) and T > 0.0 and math.isfinite(T)):
-        raise DomainError(f"T must be finite and positive, got {T!r}")
-    if not _is_int(N) or N < 1:
-        raise DomainError(f"N must be a positive integer, got {N!r}")
+    _check_grid(T, N)
     step = T / N
     return [hat_net((n - 1) * step, n * step, (n + 1) * step, 1.0) for n in range(N + 1)]
+
+
+def _spacetime_summands(spec: EulerSpec) -> Iterator[Network]:
+    """Node n's summand of the space-time net, for n = 0 ... N in order: the
+    scalar-vector product of the node's hat and its spatial Euler network."""
+    gamma = scalar_vector_product(ApproxSpec(spec.epsilon, spec.q, spec.d))
+    id_joint = relu_identity(spec.d + 1)
+    for hat, spatial in zip(time_hat_nets(spec.T, spec.N), _euler_space_nets(spec)):
+        yield concat_identity(gamma, id_joint, parallel_general([hat, spatial]))
 
 
 def spacetime_net(spec: EulerSpec) -> Network:
     """One ReLU network (t, x) -> approximate Euler path value in R^d.
 
-    Each node n contributes a scalar-vector product of the node's hat weight
-    and its spatial Euler network; hats vanish off neighbouring intervals
+    The ANN sum of the node summands; hats vanish off neighbouring intervals
     and the product annihilates at scalar 0, so at any t only two summands
     are active.
     """
-    d = spec.d
-    gamma = scalar_vector_product(ApproxSpec(spec.epsilon, spec.q, d))
-    hats = time_hat_nets(spec.T, spec.N)
-    id_joint = relu_identity(d + 1)
-    summands = []
-    for hat, spatial in zip(hats, _euler_space_nets(spec)):
-        pair = parallel_general([hat, spatial])
-        summands.append(concat_identity(gamma, id_joint, pair))
-    return sum_general(summands)
+    return sum_general(list(_spacetime_summands(spec)))
 
 
 def product_param_budget(epsilon: float, q: float) -> float:
@@ -328,6 +314,11 @@ def spacetime_param_bound(spec: EulerSpec) -> float:
     return 0.5 * (6.0 * d**2 * N**2 * H + 3.0 * N * (d**2 * budget + inner**2)) ** 2
 
 
+def _check_non_negative(what: str, name: str, value) -> None:
+    if not (_is_real(value) and value >= 0.0):
+        raise DomainError(f"{what} must be non-negative, got {name}={value!r}")
+
+
 @dataclass(frozen=True)
 class GrowthBoundInputs:
     """Everything the a priori iterate bound needs.
@@ -343,10 +334,12 @@ class GrowthBoundInputs:
     y_partial_max: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.C >= 0.0 or not self.c >= 0.0:
-            raise DomainError(f"growth constants must be non-negative, got C={self.C}, c={self.c}")
-        if any(not a >= 0.0 for a in self.step_norms):
-            raise DomainError("operator norms must be non-negative")
+        for name in ("C", "c"):
+            _check_non_negative("growth constants", name, getattr(self, name))
+        for k, a in enumerate(self.step_norms):
+            _check_non_negative("operator norms", f"step_norms[{k}]", a)
+        for k, m in enumerate(self.y_partial_max):
+            _check_non_negative("partial-sum maxima", f"y_partial_max[{k}]", m)
         if len(self.y_partial_max) != len(self.step_norms) + 1:
             raise ShapeError(
                 f"need {len(self.step_norms) + 1} partial-sum maxima, "
@@ -371,6 +364,8 @@ def gronwall_bound(inputs: GrowthBoundInputs, x_norm: float, n: int) -> float:
         (||x|| + C sum_{k<=n} |||A_k||| + max_{m<=n} ||sum_{k<=m} y_k||)
             * exp(c sum_{k<=n} |||A_k|||).
     """
+    if not (_is_real(x_norm) and math.isfinite(x_norm) and x_norm >= 0.0):
+        raise DomainError(f"x_norm must be finite and non-negative, got {x_norm!r}")
     if not _is_int(n) or not 0 <= n <= len(inputs.step_norms):
         raise DomainError(f"step index {n!r} not in [0, {len(inputs.step_norms)}]")
     s = float(sum(inputs.step_norms[:n]))

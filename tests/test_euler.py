@@ -143,6 +143,28 @@ def test_residual_chain_affine_preserves_dims(rng):
     assert np.allclose(realize(chain, RELU, x), want, rtol=1e-12, atol=1e-11)
 
 
+def _absorbed_chain(psi, phis):
+    """Depth-1 links spelled out as one affine layer: x -> A x + b folded
+    into x -> (A + I) x + b."""
+    for phi in phis:
+        layer = phi.layers[0]
+        psi = compose(affine(layer.weights + np.eye(layer.rows), layer.bias), psi)
+    return psi
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("links", [1, 2, 3])
+def test_depth_one_links_equal_absorbed_formula(rng, d, links):
+    emu = relu_identity(d)
+    psi = random_net(rng, d, d, 2)
+    phis = [random_net(rng, d, d, 1) for _ in range(links)]
+    assert same_bytes(residual_chain(psi, phis, emu), _absorbed_chain(psi, phis))
+    spec = make_spec(rng, d, links, 1)
+    steps = [compose(affine((spec.T / spec.N) * np.eye(d), v), spec.drift) for v in spec.y]
+    for n in range(links + 1):
+        assert same_bytes(euler_space_net(spec, n), _absorbed_chain(emu.net, steps[:n]))
+
+
 def test_residual_chain_matches_recursion(rng):
     d = 3
     emu = relu_identity(d)
@@ -280,6 +302,15 @@ def test_euler_spec_rejects_non_integer_N(rng, N):
         EulerSpec(drift, 1.0, N, (np.zeros(2), np.zeros(2)))
 
 
+@pytest.mark.parametrize("T, N", [(0.0, 2), (1.0, 0), ("1", 2.5), (math.inf, True)])
+def test_euler_spec_and_time_hats_share_grid_rule(T, N):
+    with pytest.raises(DomainError) as hats:
+        time_hat_nets(T, N)
+    with pytest.raises(DomainError) as spec:
+        EulerSpec(identity_net(1), T, N, ())
+    assert str(spec.value) == str(hats.value)
+
+
 # ---------------------------------------------------------------------------
 # oracle
 
@@ -303,14 +334,6 @@ def test_euler_oracle_midpoint_is_mean(rng):
     assert np.allclose(got, 0.5 * (nodes[1] + nodes[2]), rtol=1e-12)
 
 
-def test_euler_oracle_non_uniform_grid(rng):
-    spec = make_spec(rng, 2, 3, 2)
-    times = np.array([0.0, 0.2, 0.7, 1.0])
-    x = rng.standard_normal(2)
-    nodes = euler_nodes(spec, x, times)
-    assert np.allclose(euler_oracle(spec, 0.7, x, times), nodes[2], rtol=1e-12)
-
-
 def test_euler_oracle_rejects_out_of_horizon(rng):
     spec = make_spec(rng, 2, 3, 2)
     with pytest.raises(DomainError):
@@ -321,15 +344,14 @@ def test_euler_oracle_rejects_out_of_horizon(rng):
         euler_oracle(spec, np.zeros((2, 2)), np.zeros(2))
 
 
-@pytest.mark.parametrize("times", [None, np.array([0.0, 0.2, 0.7, 1.0])])
-def test_euler_oracle_array_t_equals_scalar_calls(rng, times):
+def test_euler_oracle_array_t_equals_scalar_calls(rng):
     spec = make_spec(rng, 2, 3, 2)
     x = rng.standard_normal(2)
-    grid = spec.times() if times is None else times
+    grid = spec.times()
     interior = 0.5 * (grid[:-1] + grid[1:])
     ts = np.concatenate([grid, interior, rng.random(7)])
-    got = euler_oracle(spec, ts, x, times)
-    want = np.stack([euler_oracle(spec, float(t), x, times) for t in ts])
+    got = euler_oracle(spec, ts, x)
+    want = np.stack([euler_oracle(spec, float(t), x) for t in ts])
     assert got.shape == (len(ts), 2)
     assert np.array_equal(got, want)
 
@@ -370,6 +392,27 @@ def test_gronwall_rejects_bad_step_index(n):
 def test_growth_bound_inputs_reject_nan(C, c, norms, match):
     with pytest.raises(DomainError, match=match):
         GrowthBoundInputs(C, c, norms, (0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "args, x_norm, match",
+    [
+        (("1", 1.0, (1.0,), (0.0, 0.0)), 1.0, "growth constants must be non-negative, got C='1'"),
+        ((1.0, -1.0, (1.0,), (0.0, 0.0)), 1.0, "growth constants must be non-negative, got c=-1.0"),
+        ((1.0, 1.0, (1.0, "2"), (0.0, 0.0, 0.0)), 1.0, r"got step_norms\[1\]='2'"),
+        ((1.0, 1.0, (1.0,), (math.nan, 0.0)), 1.0, r"got y_partial_max\[0\]=nan"),
+        ((1.0, 1.0, (1.0,), (0.0, True)), 1.0, r"got y_partial_max\[1\]=True"),
+        ((1.0, 1.0, (1.0,), (0.0, 0.0)), math.nan, "x_norm must be finite and non-negative"),
+        ((1.0, 1.0, (1.0,), (0.0, 0.0)), math.inf, "x_norm must be finite and non-negative"),
+        ((1.0, 1.0, (1.0,), (0.0, 0.0)), -1.0, "x_norm must be finite and non-negative"),
+        ((1.0, 1.0, (1.0,), (0.0, 0.0)), "1", "x_norm must be finite and non-negative, got '1'"),
+    ],
+    ids=["C_string", "c_negative", "step_norm_string", "y_partial_nan", "y_partial_bool",
+         "x_norm_nan", "x_norm_inf", "x_norm_negative", "x_norm_string"],
+)
+def test_gronwall_bound_rejects_bad_inputs(args, x_norm, match):
+    with pytest.raises(DomainError, match=match):
+        gronwall_bound(GrowthBoundInputs(*args), x_norm, 1)
 
 
 @pytest.mark.parametrize(
@@ -542,14 +585,7 @@ def test_spacetime_net_equals_per_node_chains(rng, depth):
 
 
 def test_spacetime_net_makes_one_residual_step_per_node(rng, monkeypatch):
-    calls = []
-    step = anncalc.euler.residual_step
-
-    def counted(*args):
-        calls.append(args)
-        return step(*args)
-
-    monkeypatch.setattr(anncalc.euler, "residual_step", counted)
+    calls = spy(monkeypatch, anncalc.euler, "_residual_link")
     for N in (3, 6):
         calls.clear()
         spacetime_net(make_spec(rng, 2, N, 2, eps=1e-1))

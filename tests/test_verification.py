@@ -75,6 +75,23 @@ def test_law_accumulator_rows_match_direct_checks():
     assert not rep.entries[-1].passed
 
 
+@pytest.mark.parametrize("kind", ["exact", "identity", "excess"])
+def test_law_keeps_a_nan_measurement(kind):
+    from anncalc.verification import _Law
+
+    rep = BoundReport()
+    law = getattr(_Law, kind)(rep, "x")
+    law.observe(-1.0)
+    law.observe(math.nan)
+    for later in (-1.0, 2.0, math.inf):
+        law.observe(later)
+    law.count(True)
+    entry = rep.entries[0]
+    assert math.isnan(law.value) and math.isnan(entry.measured)
+    assert not entry.passed and not rep.all_pass
+    assert rep.to_csv().splitlines()[1] == f"x,nan,{entry.bound!r},nan,False"
+
+
 def test_report_csv_and_json_formats():
     rep = BoundReport(metadata={"suite": "demo", "seed": 1})
     rep.check("alpha", 0.5, 1.0)
