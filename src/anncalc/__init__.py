@@ -38,7 +38,6 @@ from .euler import (
 )
 from .network import (
     Activation,
-    Dims,
     DomainError,
     IDENTITY,
     Layer,
@@ -74,7 +73,6 @@ from .verification import (
     BoundEntry,
     BoundReport,
     SUITES,
-    check_structural,
     halton,
     run_suite,
     scaling_report,

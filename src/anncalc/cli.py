@@ -63,11 +63,11 @@ def _scheme_numbers(doc: dict, field: str, ndim: int) -> np.ndarray:
 
 
 def _load_euler_spec(path, eps=None, q=None) -> EulerSpec:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             # NaN and Infinity tokens parse here and are refused per field
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ParseError(f"scheme file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("a scheme file must hold a JSON object")
@@ -121,7 +121,7 @@ def _cmd_build(args) -> int:
     else:  # pragma: no cover - argparse restricts choices
         raise DomainError(f"unknown kind {kind!r}")
     save_network(net, args.output)
-    print(f"wrote {args.output}: dims={dims(net).dims} P={param_count(net)}")
+    print(f"wrote {args.output}: dims={dims(net)} P={param_count(net)}")
     return 0
 
 
@@ -153,7 +153,7 @@ def _cmd_op(args) -> int:
     else:  # pragma: no cover
         raise DomainError(f"unknown operation {args.operation!r}")
     save_network(net, args.output)
-    print(f"wrote {args.output}: dims={dims(net).dims} P={param_count(net)}")
+    print(f"wrote {args.output}: dims={dims(net)} P={param_count(net)}")
     return 0
 
 
@@ -195,8 +195,10 @@ def _cmd_eval(args) -> int:
 
 def _cmd_info(args) -> int:
     net = load_network(args.network)
-    d = dims(net)
-    print(f"dims={d.dims} L={d.depth} H={d.hidden} P={d.params} I={d.inputs} O={d.outputs}")
+    print(
+        f"dims={dims(net)} L={net.depth} H={net.depth - 1} P={param_count(net)} "
+        f"I={net.input_dim} O={net.output_dim}"
+    )
     return 0
 
 
@@ -335,7 +337,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (DomainError, ShapeError, ParseError, FileNotFoundError, KeyError) as exc:
+    except (DomainError, ShapeError, ParseError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

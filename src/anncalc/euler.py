@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -58,6 +59,10 @@ __all__ = [
     "spacetime_param_bound",
     "time_hat_nets",
 ]
+
+
+# math.exp(x) stays a finite float for every x <= _LOG_FLOAT_MAX
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _check_grid(T, N) -> None:
@@ -301,13 +306,14 @@ def spacetime_net(spec: EulerSpec) -> Network:
 
 def product_param_budget(epsilon: float, q: float) -> float:
     """Per-d^2 parameter budget dominating twice the scalar-vector net."""
+    ApproxSpec(epsilon, q)
     return (720.0 * q / (q - 2.0)) * (math.log2(1.0 / epsilon) + q + 1.0) - 504.0
 
 
 def spacetime_param_bound(spec: EulerSpec) -> float:
     """Closed-form upper bound for param_count(spacetime_net(spec))."""
     d, N = spec.d, spec.N
-    H = dims(spec.drift).hidden
+    H = spec.drift.depth - 1
     P = param_count(spec.drift)
     budget = product_param_budget(spec.epsilon, spec.q)
     inner = 23.0 + 6.0 * N * H + 7.0 * d**2 + N * (4.0 * d**2 + P) ** 2
@@ -375,6 +381,11 @@ def gronwall_bound(inputs: GrowthBoundInputs, x_norm: float, n: int) -> float:
 def scaling_constant(growth_c: float, T: float) -> float:
     """The constant the headline bounds are phrased with:
     max(exp(cT), unit-accuracy product budget at q = 3, 62 + 6c(c+1))."""
+    if not (_is_real(growth_c) and math.isfinite(growth_c) and growth_c >= 0.0):
+        raise DomainError(f"growth_c must be finite and non-negative, got {growth_c!r}")
+    _check_grid(T, 1)  # T alone, as the horizon of a one-step grid
+    if growth_c * T > _LOG_FLOAT_MAX:
+        raise DomainError(f"exp(growth_c * T) overflows: growth_c={growth_c!r}, T={T!r}")
     return max(
         math.exp(growth_c * T),
         product_param_budget(1.0, 3.0),
@@ -391,10 +402,20 @@ def scaling_bounds(
     error / growth are coefficients of (1 + ||x||^3 + ||y||^3) and
     (1 + ||x||^2 + ||y||^2) respectively; params bounds the exact count.
     """
+    if not (_is_real(size_exp) and math.isfinite(size_exp)):
+        raise DomainError(f"size_exp must be finite, got {size_exp!r}")
+    ApproxSpec(epsilon, 3.0, d)
+    _check_grid(T, N)
     c = scaling_constant(growth_c, T)
-    return {
-        "error": 20.0 * c**6 * math.sqrt(d) * N**1.5 * epsilon,
-        "growth": 18.0 * c**4 * math.sqrt(d) * N,
-        "params": 54.0 * c**4 * N**6 * float(d) ** (16.0 + 8.0 * size_exp)
-        * (1.0 + math.log(epsilon) ** 2),
-    }
+    try:
+        return {
+            "error": 20.0 * c**6 * math.sqrt(d) * N**1.5 * epsilon,
+            "growth": 18.0 * c**4 * math.sqrt(d) * N,
+            "params": 54.0 * c**4 * N**6 * float(d) ** (16.0 + 8.0 * size_exp)
+            * (1.0 + math.log(epsilon) ** 2),
+        }
+    except OverflowError as exc:
+        raise DomainError(
+            f"the headline bounds overflow at growth_c={growth_c!r}, T={T!r}, d={d!r}, "
+            f"N={N!r}, size_exp={size_exp!r}"
+        ) from exc

@@ -25,7 +25,6 @@ import numpy as np
 
 __all__ = [
     "Activation",
-    "Dims",
     "DomainError",
     "IDENTITY",
     "Layer",
@@ -177,53 +176,6 @@ def _gather_product(groups: tuple, bias: np.ndarray, z: np.ndarray) -> np.ndarra
     return out.T
 
 
-@dataclass(frozen=True)
-class Dims:
-    """The dimension vector (l_0, ..., l_L) of a network, with derived counts."""
-
-    dims: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        if len(self.dims) < 2:
-            raise ShapeError(f"dimension vector needs at least 2 entries, got {self.dims}")
-        if any(d < 1 for d in self.dims):
-            raise ShapeError(f"dimension entries must be positive, got {self.dims}")
-
-    @property
-    def depth(self) -> int:
-        """Number of affine layers L."""
-        return len(self.dims) - 1
-
-    @property
-    def hidden(self) -> int:
-        """Number of hidden layers, L - 1."""
-        return self.depth - 1
-
-    @property
-    def inputs(self) -> int:
-        return self.dims[0]
-
-    @property
-    def outputs(self) -> int:
-        return self.dims[-1]
-
-    @property
-    def params(self) -> int:
-        """Total scalar count sum_k l_k (l_{k-1} + 1)."""
-        d = self.dims
-        return sum(d[k] * (d[k - 1] + 1) for k in range(1, len(d)))
-
-    def __iter__(self):
-        return iter(self.dims)
-
-    def __len__(self):
-        return len(self.dims)
-
-    def __getitem__(self, k):
-        return self.dims[k]
-
-
 @dataclass(frozen=True, eq=False)
 class Network:
     """A non-empty tuple of affine layers with chaining shapes."""
@@ -257,7 +209,7 @@ class Network:
         return self.layers[-1].rows
 
     def __repr__(self):
-        return f"Network(dims={dims(self).dims})"
+        return f"Network(dims={dims(self)})"
 
 
 @dataclass(frozen=True)
@@ -284,18 +236,21 @@ def affine(weights, bias=None) -> Network:
     return Network((Layer(w, bias),))
 
 
-def dims(net: Network) -> Dims:
-    """Read the dimension vector off the layer shapes."""
-    return Dims((net.layers[0].cols,) + tuple(layer.rows for layer in net.layers))
+def dims(net: Network) -> tuple[int, ...]:
+    """The dimension vector (l_0, ..., l_L), read off the layer shapes."""
+    return (net.input_dim,) + tuple(layer.rows for layer in net.layers)
 
 
 def param_count(net: Network) -> int:
     """Number of stored scalars, sum_k l_k (l_{k-1} + 1)."""
-    return dims(net).params
+    return sum(layer.rows * (layer.cols + 1) for layer in net.layers)
 
 
 def _prepare_input(net: Network, x) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    if x.dtype.kind not in "iuf":
+        raise DomainError(f"input x must hold integers or floats, got dtype {x.dtype}")
+    x = x.astype(np.float64, copy=False)
     single = x.ndim == 1
     z = x[np.newaxis, :] if single else x
     if z.ndim != 2 or z.shape[1] != net.input_dim:
@@ -314,7 +269,8 @@ def realize(net: Network, act: Activation, x) -> np.ndarray:
 
     ``x`` may be a single point of length I or a batch of shape (n, I);
     the result has shape (O,) or (n, O) accordingly.  Raises ShapeError on
-    a wrong shape and DomainError if ``x`` holds a NaN or an infinity.
+    a wrong shape and DomainError if ``x`` holds anything but integers and
+    floats (strings, bools, complex numbers, None) or a NaN or an infinity.
     """
     z, single = _prepare_input(net, x)
     for layer in net.layers[:-1]:
@@ -399,7 +355,10 @@ def _number_array(raw, name: str, spells_bool: bool = True) -> np.ndarray:
 def deserialize(data: bytes | str) -> Network:
     """Parse a serialized network, reporting the offending layer on failure."""
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(data, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:

@@ -8,6 +8,7 @@ hold exactly, not just up to realization.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -16,11 +17,13 @@ import numpy as np
 
 from .network import (
     Activation,
+    DomainError,
     Layer,
     Network,
     RELU,
     ShapeError,
     _is_int,
+    _is_real,
     affine,
     dims,
     realize,
@@ -51,7 +54,7 @@ def compose(phi1: Network, phi2: Network) -> Network:
         raise ShapeError(
             f"composition interface mismatch: left network consumes {phi1.input_dim} "
             f"components, right produces {phi2.output_dim} "
-            f"(dims {dims(phi1).dims} vs {dims(phi2).dims})"
+            f"(dims {dims(phi1)} vs {dims(phi2)})"
         )
     first = phi1.layers[0]
     last = phi2.layers[-1]
@@ -108,10 +111,10 @@ class IdentityEmulator:
     activation: Activation = RELU
 
     def __post_init__(self):
-        d = dims(self.net)
-        if d.depth != 2 or d.inputs != self.dim or d.outputs != self.dim:
+        net = self.net
+        if net.depth != 2 or net.input_dim != self.dim or net.output_dim != self.dim:
             raise ShapeError(
-                f"identity emulator needs dims (d, i, d) with d={self.dim}, got {d.dims}"
+                f"identity emulator needs dims (d, i, d) with d={self.dim}, got {dims(net)}"
             )
         probe = np.stack([np.roll(np.resize(_PROBE, self.dim), k) for k in range(6)])
         out = realize(self.net, self.activation, probe)
@@ -121,7 +124,7 @@ class IdentityEmulator:
     @property
     def width(self) -> int:
         """Hidden width, the i in dims (d, i, d)."""
-        return dims(self.net)[1]
+        return self.net.layers[0].rows
 
 
 def relu_identity(d: int) -> IdentityEmulator:
@@ -212,7 +215,7 @@ def parallel_general(
 def sum_equal(nets: Sequence[Network], h: Sequence[float] | None = None) -> Network:
     """Weighted sum of networks with identical dimension vectors:
     :func:`sum_general`, which pads none of them."""
-    ds = [dims(net).dims for net in nets]
+    ds = [dims(net) for net in nets]
     if len(set(ds)) > 1:
         raise ShapeError(f"sum_equal needs identical dims, got {ds}")
     return sum_general(nets, h=h)
@@ -227,7 +230,7 @@ def sum_general(
 
     A fan-out copies the input to every network, ``emulator`` (canonical
     ReLU by default) extends each to the common depth, and a fan-in adds the
-    outputs with weights ``h``.
+    outputs with weights ``h``, which must be finite real numbers.
     """
     if not nets:
         raise ShapeError("sum needs at least one network")
@@ -235,6 +238,9 @@ def sum_general(
         h = [1.0] * len(nets)
     if len(h) != len(nets):
         raise ShapeError(f"got {len(nets)} networks but {len(h)} weights")
+    for k, hk in enumerate(h):
+        if not (_is_real(hk) and math.isfinite(hk)):
+            raise DomainError(f"sum weights must be finite real numbers, got h[{k}]={hk!r}")
     d_in = {net.input_dim for net in nets}
     d_out = {net.output_dim for net in nets}
     if len(d_in) != 1 or len(d_out) != 1:

@@ -32,7 +32,7 @@ def run(*argv):
 def test_build_square_unit_dims(tmp_path):
     out = tmp_path / "sq.ann.json"
     assert run("build", "--kind", "square-unit", "--eps", "0.0009765625", "-o", out) == 0
-    assert dims(load_network(out)).dims == (1, 4, 4, 4, 4, 1)
+    assert dims(load_network(out)) == (1, 4, 4, 4, 4, 1)
 
 
 def test_build_hat_and_identity(tmp_path):
@@ -42,7 +42,7 @@ def test_build_hat_and_identity(tmp_path):
     assert param_count(load_network(out)) == 13
     out2 = tmp_path / "id.ann.json"
     assert run("build", "--kind", "identity", "--d", 3, "-o", out2) == 0
-    assert dims(load_network(out2)).dims == (3, 6, 3)
+    assert dims(load_network(out2)) == (3, 6, 3)
 
 
 def test_build_rejects_bad_eps(tmp_path, capsys):
@@ -54,7 +54,7 @@ def test_build_rejects_bad_eps(tmp_path, capsys):
 def test_build_square_unit_at_smallest_subnormal_eps(tmp_path):
     out = tmp_path / "sq.ann.json"
     assert run("build", "--kind", "square-unit", "--eps", "5e-324", "-o", out) == 0
-    assert dims(load_network(out)).depth == 537
+    assert load_network(out).depth == 537
 
 
 def test_usage_error_is_exit_2():
@@ -86,7 +86,7 @@ def test_op_power_zero(tmp_path, rng):
     out = tmp_path / "p0.ann.json"
     assert run("op", "power", src, "--n", 0, "-o", out) == 0
     net = load_network(out)
-    assert dims(net).dims == (2, 2)
+    assert dims(net) == (2, 2)
     assert np.array_equal(net.layers[0].weights, np.eye(2))
 
 
@@ -155,6 +155,29 @@ def test_info_format(tmp_path, capsys):
     assert run("info", sq) == 0
     out = capsys.readouterr().out.strip()
     assert out == "dims=(1, 4, 1) L=2 H=1 P=13 I=1 O=1"
+
+
+def test_build_prints_wrote_line(tmp_path, capsys):
+    out = tmp_path / "sq.ann.json"
+    assert run("build", "--kind", "square-unit", "--eps", 1.0, "-o", out) == 0
+    assert capsys.readouterr().out == f"wrote {out}: dims=(1, 4, 1) P=13\n"
+
+
+@pytest.mark.parametrize("case", ["info_dir", "build_to_dir", "info_not_utf8", "scheme_not_utf8"])
+def test_file_errors_are_error_lines(tmp_path, capsys, case):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    argv = {
+        "info_dir": ["info", tmp_path],
+        "build_to_dir": ["build", "--kind", "identity", "-o", tmp_path],
+        "info_not_utf8": ["info", bad],
+        "scheme_not_utf8": ["build", "--kind", "spacetime", "--spec", bad,
+                            "-o", tmp_path / "st.ann.json"],
+    }[case]
+    capsys.readouterr()
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_build_euler_kinds_from_spec_json(tmp_path, rng):

@@ -125,7 +125,7 @@ def test_tent_f_domain_error():
 
 def test_identity_net_frozen_values(rng):
     assert realize(identity_net(1), RELU, [-2.0])[0] == -2.0
-    assert dims(identity_net(3)).dims == (3, 6, 3)
+    assert dims(identity_net(3)) == (3, 6, 3)
     assert param_count(identity_net(2)) == 22
     x = rng.standard_normal((50, 4))
     assert np.array_equal(realize(identity_net(4), RELU, x), x)
@@ -145,7 +145,7 @@ def test_hat_net_frozen_values():
     assert realize(net, RELU, [-5.0])[0] == 0.0
     assert realize(net, RELU, [0.5])[0] == 0.5
     assert param_count(net) == 13
-    assert dims(net).dims == (1, 4, 1)
+    assert dims(net) == (1, 4, 1)
 
 
 def test_hat_net_rejects_bad_ordering():
@@ -178,8 +178,8 @@ def test_refinement_level_table():
 
 
 def test_square_unit_structure():
-    assert dims(square_unit(1.0)).dims == (1, 4, 1)
-    assert dims(square_unit(2.0**-10)).dims == (1, 4, 4, 4, 4, 1)
+    assert dims(square_unit(1.0)) == (1, 4, 1)
+    assert dims(square_unit(2.0**-10)) == (1, 4, 4, 4, 4, 1)
     for eps in (1.0, 2.0**-4, 2.0**-10, 2.0**-20):
         net = square_unit(eps)
         M = square_refinement_level(eps)

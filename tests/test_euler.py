@@ -29,11 +29,14 @@ from anncalc import (
     parallel_general,
     param_count,
     perturbed_iterates,
+    product_param_budget,
     realize,
     relu_identity,
     residual_chain,
     residual_step,
     scalar_vector_product,
+    scaling_bounds,
+    scaling_constant,
     spacetime_net,
     spacetime_param_bound,
     sum_general,
@@ -82,8 +85,8 @@ def test_residual_step_dims_and_param_identity(rng):
         phi1 = random_net(rng, d, d, L1)
         phi2 = random_net(rng, d, d, int(rng.integers(1, 4)))
         net = residual_step(phi1, phi2, emu)
-        d1, d2 = dims(phi1).dims, dims(phi2).dims
-        assert dims(net).dims == d2[:-1] + tuple(l + i for l in d1[1:-1]) + (d1[-1],)
+        d1, d2 = dims(phi1), dims(phi2)
+        assert dims(net) == d2[:-1] + tuple(l + i for l in d1[1:-1]) + (d1[-1],)
         expected = (
             param_count(phi1)
             + param_count(phi2)
@@ -135,7 +138,7 @@ def test_residual_chain_affine_preserves_dims(rng):
     emu = relu_identity(d)
     phis = [random_net(rng, d, d, 1) for _ in range(3)]
     chain = residual_chain(emu.net, phis, emu)
-    assert dims(chain).dims == dims(emu.net).dims
+    assert dims(chain) == dims(emu.net)
     x = rng.standard_normal((10, d))
     want = x.copy()
     for phi in phis:
@@ -239,7 +242,7 @@ def test_euler_space_hidden_count_law(rng):
         spec = make_spec(rng, 2, 5, depth)
         for n in (0, 2, 5):
             net = euler_space_net(spec, n)
-            assert dims(net).hidden == 1 + n * dims(spec.drift).hidden
+            assert net.depth - 1 == 1 + n * (spec.drift.depth - 1)
 
 
 def test_euler_space_param_bound(rng):
@@ -436,6 +439,37 @@ def test_non_number_scalars_raise_domain_error(build, args, kwargs, match):
         build(*args, **kwargs)
 
 
+_SCALING = {"growth_c": 1.0, "size_exp": 2.0, "T": 1.0, "d": 2, "N": 4, "epsilon": 0.1}
+
+
+@pytest.mark.parametrize(
+    "build, kwargs, match",
+    [
+        (product_param_budget, {"epsilon": 0.0, "q": 3.0}, r"epsilon must lie in \(0, 1\]"),
+        (product_param_budget, {"epsilon": 0.1, "q": 2.0}, "q must be finite and exceed 2"),
+        (product_param_budget, {"epsilon": 0.1, "q": 1.0}, "q must be finite and exceed 2"),
+        (scaling_bounds, {"epsilon": 0.0}, r"epsilon must lie in \(0, 1\]"),
+        (scaling_bounds, {"d": -2}, "d must be a positive integer, got -2"),
+        (scaling_bounds, {"N": 0}, "N must be a positive integer, got 0"),
+        (scaling_bounds, {"T": math.nan}, "T must be finite and positive"),
+        (scaling_bounds, {"size_exp": math.inf}, "size_exp must be finite, got inf"),
+        (scaling_bounds, {"growth_c": math.inf}, "growth_c must be finite and non-negative"),
+        (scaling_bounds, {"growth_c": 1e-120, "T": 1e-300, "size_exp": 1e200},
+         "the headline bounds overflow"),
+        (scaling_constant, {"growth_c": 1e3, "T": 1.0}, r"exp\(growth_c \* T\) overflows: "
+         r"growth_c=1000.0, T=1.0"),
+        (scaling_constant, {"growth_c": 1e308, "T": 10.0}, "overflows"),
+        (scaling_constant, {"growth_c": True, "T": 1.0}, "growth_c must be finite"),
+        (scaling_constant, {"growth_c": 1.0, "T": 0.0}, "T must be finite and positive"),
+    ],
+)
+def test_bound_formulas_check_their_inputs(build, kwargs, match):
+    if build is scaling_bounds:
+        kwargs = {**_SCALING, **kwargs}
+    with pytest.raises(DomainError, match=match):
+        build(**kwargs)
+
+
 def test_gronwall_zero_growth_case():
     y = [np.array([1.0, 0.0]), np.array([1.0, 0.0]), np.array([-3.0, 0.0])]
     inputs = GrowthBoundInputs.from_steps(0.0, 0.0, [np.eye(2)] * 3, y)
@@ -544,7 +578,7 @@ def test_spacetime_depth_is_uniform_max_summand(rng):
     spec = make_spec(rng, 2, 3, 2, eps=1e-1)
     gamma = scalar_vector_product(ApproxSpec(spec.epsilon, spec.q, spec.d))
     net = spacetime_net(spec)
-    assert net.depth == gamma.depth + 2 + spec.N * dims(spec.drift).hidden
+    assert net.depth == gamma.depth + 2 + spec.N * (spec.drift.depth - 1)
 
 
 def test_spacetime_gather_evaluation_is_consistent(rng):

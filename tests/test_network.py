@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from anncalc import (
     IDENTITY,
-    Dims,
     DomainError,
     Layer,
     Network,
@@ -18,6 +17,7 @@ from anncalc import (
     deserialize,
     dims,
     forward_states,
+    hat_net,
     identity_net,
     networks_equal,
     param_count,
@@ -56,23 +56,26 @@ def test_dims_and_param_count_match_brute_force(shape, seed):
             for k in range(1, len(shape))
         )
     )
-    d = dims(net)
-    assert d.dims == tuple(shape)
-    assert d.depth == len(shape) - 1
-    assert d.hidden == len(shape) - 2
-    assert d.inputs == shape[0] and d.outputs == shape[-1]
+    assert dims(net) == tuple(shape)
+    assert net.depth == len(shape) - 1
+    assert net.input_dim == shape[0] and net.output_dim == shape[-1]
     assert param_count(net) == brute_force_params(net)
 
 
 def test_param_count_examples():
-    assert Dims((1, 4, 1)).params == 13
-    assert Dims((1, 2, 1)).params == 7  # identity emulator at d = 1
-    assert Dims((2, 3)).params == 9
-    assert param_count(identity_net(1)) == 7
+    assert param_count(hat_net(0, 1, 2, 1)) == 13  # dims (1, 4, 1)
+    assert param_count(identity_net(1)) == 7  # dims (1, 2, 1)
+    assert param_count(affine(np.zeros((3, 2)))) == 9  # dims (2, 3)
 
 
 def test_single_layer_dims():
-    assert dims(affine([[2.0]], [0.5])).dims == (1, 1)
+    assert dims(affine([[2.0]], [0.5])) == (1, 1)
+
+
+def test_dims_is_a_plain_tuple_of_ints():
+    d = dims(square_unit(2.0**-4))
+    assert type(d) is tuple and all(type(l) is int for l in d)
+    assert repr(identity_net(2)) == "Network(dims=(2, 4, 2))"
 
 
 @given(shapes, st.integers(0, 2**32 - 1))
@@ -118,6 +121,21 @@ def test_evaluation_rejects_non_finite_input(evaluate, bad):
         evaluate(identity_net(2), RELU, x[1])
 
 
+@pytest.mark.parametrize("evaluate", [realize, forward_states])
+@pytest.mark.parametrize(
+    "bad",
+    [["1.5", "2"], [True, False], ["a", 1], [1 + 2j, 1], [None, 1], [[0.5, 1.0], [None, 2.0]]],
+    ids=["strings", "bools", "string_and_int", "complex", "none", "none_in_batch"],
+)
+def test_evaluation_rejects_non_numeric_input(evaluate, bad):
+    with pytest.raises(DomainError, match="input x must hold integers or floats, got dtype"):
+        evaluate(identity_net(2), RELU, bad)
+
+
+def test_evaluation_accepts_integer_input():
+    assert realize(identity_net(2), RELU, [1, -2]).tolist() == [1.0, -2.0]
+
+
 def test_forward_states_alternates_affine_and_activation(rng):
     net = random_net(rng, 2, 2, 3)
     x = rng.standard_normal(2)
@@ -157,6 +175,11 @@ def test_serialize_round_trip_square_net_realizes_identically():
     again = deserialize(serialize(net))
     grid = np.linspace(0.0, 1.0, 101)[:, None]
     assert np.array_equal(realize(net, RELU, grid), realize(again, RELU, grid))
+
+
+def test_deserialize_rejects_non_utf8_bytes():
+    with pytest.raises(ParseError, match="not UTF-8 text"):
+        deserialize(b"\xff{}")
 
 
 def test_deserialize_names_offending_layer():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import anncalc.ops
 from anncalc import (
+    DomainError,
     IdentityEmulator,
     Network,
     RELU,
@@ -44,7 +45,7 @@ def test_compose_two_affine_maps():
     double = affine([[2.0]])
     shift = affine([[1.0]], [1.0])
     net = compose(double, shift)
-    assert dims(net).dims == (1, 1)
+    assert dims(net) == (1, 1)
     assert net.layers[0].weights[0, 0] == 2.0
     assert net.layers[0].bias[0] == 2.0  # realizes 2x + 2
 
@@ -53,7 +54,7 @@ def test_compose_dims_example(rng):
     a = random_net(rng, 3, 2, 2)  # dims (3, ?, 2) -> force (3,5,2)
     a = Network(((np.ones((5, 3)), np.zeros(5)), (np.ones((2, 5)), np.zeros(2))))
     b = Network(((np.ones((4, 1)), np.zeros(4)), (np.ones((3, 4)), np.zeros(3))))
-    assert dims(compose(a, b)).dims == (1, 4, 5, 2)
+    assert dims(compose(a, b)) == (1, 4, 5, 2)
 
 
 def test_compose_interface_error_names_both_dims(rng):
@@ -74,7 +75,7 @@ def test_compose_param_bound_and_homomorphism(seed, la, lb):
     l11 = dims(a)[1]
     l2last = dims(b)[-2]
     assert param_count(c) <= param_count(a) + param_count(b) + l11 * l2last
-    assert dims(c).hidden == dims(a).hidden + dims(b).hidden
+    assert c.depth - 1 == (a.depth - 1) + (b.depth - 1)
     x = rng.standard_normal((5, d0))
     want = realize(a, RELU, realize(b, RELU, x))
     got = realize(c, RELU, x)
@@ -99,13 +100,13 @@ def test_compose_associative_bit_exact(seed):
 def test_power_zero_is_plain_identity_layer(rng):
     net = random_net(rng, 3, 3, 2)
     p0 = power(net, 0)
-    assert dims(p0).dims == (3, 3)
+    assert dims(p0) == (3, 3)
     assert np.array_equal(p0.layers[0].weights, np.eye(3))
     assert np.array_equal(p0.layers[0].bias, np.zeros(3))
 
 
 def test_power_dims_law():
-    assert dims(power(identity_net(2), 3)).dims == (2, 4, 4, 4, 2)
+    assert dims(power(identity_net(2), 3)) == (2, 4, 4, 4, 2)
 
 
 def test_power_identity_realization(rng):
@@ -121,7 +122,7 @@ def test_power_rejects_non_natural_exponents(n):
 
 
 def test_power_accepts_numpy_integers():
-    assert dims(power(identity_net(2), np.int64(2))).dims == (2, 4, 4, 2)
+    assert dims(power(identity_net(2), np.int64(2))) == (2, 4, 4, 2)
 
 
 def test_power_requires_square(rng):
@@ -239,7 +240,7 @@ def test_parallel_single_is_identity_op(rng):
 
 def test_parallel_dims_example():
     hat = hat_net(0.0, 1.0, 2.0, 1.0)  # dims (1,4,1)
-    assert dims(parallel_equal([hat, hat])).dims == (2, 8, 2)
+    assert dims(parallel_equal([hat, hat])) == (2, 8, 2)
 
 
 def test_parallel_realizes_tuple_map(rng):
@@ -325,6 +326,34 @@ def test_sum_equal_rejects_empty_and_mixed():
         sum_equal([identity_net(1), identity_net(2)])
 
 
+@pytest.mark.parametrize("sum_fn", [sum_equal, sum_general])
+@pytest.mark.parametrize(
+    "h, named",
+    [(["2", 1.0], "h[0]='2'"), ([True, 1.0], "h[0]=True"), (["x", 1.0], "h[0]='x'"),
+     ([np.nan, 1.0], "h[0]=nan"), ([1.0, -np.inf], "h[1]=-inf")],
+    ids=["string_number", "bool", "string", "nan", "inf"],
+)
+def test_sum_weights_must_be_finite_reals(sum_fn, h, named):
+    with pytest.raises(DomainError, match="sum weights must be finite real numbers") as exc:
+        sum_fn([identity_net(1), identity_net(1)], h=h)
+    assert str(exc.value).endswith(named)
+
+
+def test_shape_messages_keep_their_text():
+    with pytest.raises(ShapeError) as exc:
+        compose(identity_net(2), identity_net(3))
+    assert str(exc.value) == (
+        "composition interface mismatch: left network consumes 2 components, "
+        "right produces 3 (dims (2, 4, 2) vs (3, 6, 3))"
+    )
+    with pytest.raises(ShapeError) as exc:
+        IdentityEmulator(identity_net(2), 3)
+    assert str(exc.value) == "identity emulator needs dims (d, i, d) with d=3, got (2, 4, 2)"
+    with pytest.raises(ShapeError) as exc:
+        sum_equal([identity_net(2), power(identity_net(2), 2)])
+    assert str(exc.value) == "sum_equal needs identical dims, got [(2, 4, 2), (2, 4, 4, 2)]"
+
+
 def test_sum_equal_is_sum_general_with_bytes_of_the_fan_formula(rng, monkeypatch):
     calls = spy(monkeypatch, anncalc.ops, "sum_general")
     base = random_net(rng, 2, 3, 3)
@@ -379,5 +408,5 @@ def test_concat_depth_and_dims_laws(seed):
     f = random_net(rng, d, int(rng.integers(1, 4)), int(rng.integers(1, 3)))
     cc = concat_identity(f, emu, g)
     assert cc.depth == f.depth + g.depth
-    assert dims(cc).dims == dims(g).dims[:-1] + (emu.width,) + dims(f).dims[1:]
+    assert dims(cc) == dims(g)[:-1] + (emu.width,) + dims(f)[1:]
     assert param_count(cc) <= max(1, emu.width / d) * (param_count(f) + param_count(g))

@@ -9,7 +9,6 @@ import pytest
 from anncalc import (
     BoundReport,
     DomainError,
-    check_structural,
     halton,
     identity_net,
     run_suite,
@@ -105,6 +104,24 @@ def test_report_csv_and_json_formats():
     assert doc["entries"][0]["pass"] is True
 
 
+def test_report_json_is_strict():
+    from anncalc.verification import _Law
+
+    rep = BoundReport()
+    _Law.excess(rep, "unreached")
+    _Law.identity(rep, "broken").observe(math.nan)
+
+    def refuse(token):
+        raise ValueError(f"non-strict JSON token {token}")
+
+    entries = json.loads(rep.to_json(), parse_constant=refuse)["entries"]
+    assert [(e["measured"], e["bound"], e["margin"]) for e in entries] == [
+        ("-inf", 0.0, "inf"),
+        ("nan", 1e-12, "nan"),
+    ]
+    assert [e["pass"] for e in entries] == [True, False]
+
+
 def test_sup_error_on_grid():
     grid = np.linspace(0.0, 1.0, 101)
     f = lambda g: g**2
@@ -126,18 +143,6 @@ def test_sup_error_on_grid_against_square_net():
         lambda g: g**2, lambda g: realize(net, RELU, g[:, None])[:, 0], grid
     )
     assert err <= 2.0**-10 + 1e-9
-
-
-def test_check_structural():
-    net = identity_net(3)
-    rep = check_structural(net, (3, 6, 3))
-    assert rep.all_pass
-    rep = check_structural(net, {"depth": 2, "hidden": 1, "params": 45, "inputs": 3})
-    assert rep.all_pass
-    rep = check_structural(net, {"params": 44})
-    assert not rep.all_pass
-    with pytest.raises(DomainError):
-        check_structural(net, {"bogus": 1})
 
 
 def test_halton_is_deterministic_and_low_discrepancy():
@@ -211,3 +216,18 @@ def test_scaling_report_identity_drift_small_case():
             EulerSpec(identity_net(1), 1.0, 2, (np.zeros(1), np.zeros(1)), 1e-2, 4.0),
             7.0, 1.0,
         )
+
+
+@pytest.mark.parametrize(
+    "growth_c, size_exp, match",
+    [("1", 2.0, "growth_c must be finite and non-negative, got '1'"),
+     (-1.0, 2.0, "growth_c must be finite and non-negative"),
+     (1.0, math.nan, "size_exp must be finite, got nan"),
+     (1.0, True, "size_exp must be finite, got True")],
+)
+def test_scaling_report_checks_its_constants(growth_c, size_exp, match):
+    from anncalc import EulerSpec, scaling_report
+
+    spec = EulerSpec(identity_net(1), 1.0, 1, (np.zeros(1),), 1e-2, 3.0)
+    with pytest.raises(DomainError, match=match):
+        scaling_report(spec, growth_c, size_exp)
