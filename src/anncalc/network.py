@@ -9,8 +9,9 @@ checked by exact comparison.
 
 Weights are stored dense and row-major; that layout is the contract every
 operation and file works with.  Evaluation is free to differ: a large layer
-that is mostly zeros is evaluated by gathering only its nonzero weights
-(see :meth:`Layer.apply`), while every other layer uses the plain product.
+that is mostly zeros is evaluated block by block, one stacked product per
+block shape (see :meth:`Layer.apply`), while every other layer uses the
+plain product.
 """
 
 from __future__ import annotations
@@ -45,14 +46,13 @@ __all__ = [
 ]
 
 
-# A layer is evaluated by gather when it has at least _GATHER_MIN_ENTRIES
-# entries and at most 1/_GATHER_MAX_DENSITY of them are nonzero.  Below that
-# size the index would cost more than it saves, and no verification-suite
-# net reaches it, so their results stay those of the plain product.
-_GATHER_MIN_ENTRIES = 1 << 16
-_GATHER_MAX_DENSITY = 8
-# Scalars per gather temporary (a chunk still holds at least one slot).
-_GATHER_CHUNK = 1 << 14
+# A layer is evaluated by its block plan when it has at least
+# _BLOCK_MIN_ENTRIES entries and at most 1/_BLOCK_MAX_DENSITY of them are
+# nonzero.  Below that size the plan would cost more than it saves, and no
+# verification-suite net reaches it, so their results stay those of the
+# plain product.
+_BLOCK_MIN_ENTRIES = 1 << 16
+_BLOCK_MAX_DENSITY = 8
 
 
 class ShapeError(ValueError):
@@ -122,58 +122,67 @@ class Layer:
         """The affine map on a batch: ``z @ W.T + b`` for ``z`` of shape (n, cols).
 
         A layer with at least 65,536 entries of which at most 1/8 are nonzero
-        is evaluated from a cached gather index of its nonzeros; its result
-        equals the dense product up to summation order.  Every other layer
-        computes exactly ``z @ W.T + b``.
+        is evaluated from its cached block plan: one stacked product per
+        block shape, added into the bias-filled output rows, so a row in no
+        block gets the bias alone.  Its result equals the dense product up
+        to summation order.  Every other layer computes exactly
+        ``z @ W.T + b``.
         """
-        if self.weights.size >= _GATHER_MIN_ENTRIES:
-            groups = self._gather_groups
-            if groups is not None:
-                return _gather_product(groups, self.bias, z)
+        if self.weights.size >= _BLOCK_MIN_ENTRIES and self._block_plan is not None:
+            zt = np.ascontiguousarray(z.T)
+            out = np.repeat(self.bias[:, np.newaxis], zt.shape[1], axis=1)
+            for row_ids, col_ids, blocks in self._block_plan:
+                out[row_ids.ravel()] += (blocks @ zt[col_ids]).reshape(row_ids.size, -1)
+            return out.T
         return z @ self.weights.T + self.bias
 
     @cached_property
-    def _gather_groups(self) -> tuple | None:
-        """The nonzeros grouped by row count, or None if the layer is too dense.
+    def _block_plan(self) -> tuple | None:
+        """The nonzeros as dense blocks grouped by shape, or None if too dense.
 
-        One group per distinct count k: the ids of the rows with k nonzeros
-        and (rows, k) arrays of their column ids and values.
+        A block is a connected component of the graph joining row i to
+        column j wherever W[i, j] != 0, so no row or column is in two blocks
+        and a row in none is all-zero.  One group per block shape (a, b):
+        (G, a) row ids, (G, b) column ids, each ascending, and the (G, a, b)
+        stacked weights.
         """
         w = self.weights
         flat = np.flatnonzero(w != 0.0)
-        if flat.size * _GATHER_MAX_DENSITY > w.size:
+        if flat.size * _BLOCK_MAX_DENSITY > w.size:
             return None
         rows, cols = np.divmod(flat, w.shape[1])
-        values = w.ravel()[flat]
-        counts = np.bincount(rows, minlength=w.shape[0])
-        starts = np.cumsum(counts) - counts
+        cols += w.shape[0]
+        # min-label propagation over rows 0..R-1 and columns R..R+C-1, with
+        # pointer jumping: at the fixed point every node is labelled with the
+        # least node, a row, of its component
+        label = np.arange(sum(w.shape))
+        while True:
+            low = np.minimum(label[rows], label[cols])
+            new = label.copy()
+            np.minimum.at(new, rows, low)
+            np.minimum.at(new, cols, low)
+            new = new[new]
+            if np.array_equal(new, label):
+                break
+            label = new
+        # components by label, ids ascending within each; a row or column
+        # without nonzeros is a component of its own, of width or height 0
+        nodes = np.argsort(label, kind="stable")
+        row_nodes = nodes[nodes < w.shape[0]]
+        col_nodes = nodes[nodes >= w.shape[0]] - w.shape[0]
+        heights = np.bincount(label[: w.shape[0]], minlength=w.shape[0])
+        widths = np.bincount(label[w.shape[0] :], minlength=label.size)[: w.shape[0]]
+        row_starts = np.cumsum(heights) - heights
+        col_starts = np.cumsum(widths) - widths
+        is_block = widths > 0
         groups = []
-        for k in np.unique(counts[counts > 0]):
-            ids = np.flatnonzero(counts == k)
-            at = starts[ids, np.newaxis] + np.arange(k)
-            groups.append((ids, cols[at], values[at]))
+        for a, b in sorted(set(zip(heights[is_block].tolist(), widths[is_block].tolist()))):
+            of_shape = np.flatnonzero((heights == a) & (widths == b))
+            row_ids = row_nodes[row_starts[of_shape, np.newaxis] + np.arange(a)]
+            col_ids = col_nodes[col_starts[of_shape, np.newaxis] + np.arange(b)]
+            blocks = w[row_ids[:, :, np.newaxis], col_ids[:, np.newaxis, :]]
+            groups.append((row_ids, col_ids, blocks))
         return tuple(groups)
-
-
-def _gather_product(groups: tuple, bias: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """``z @ W.T + b`` from a gather index; rows without nonzeros get ``b`` alone.
-
-    Works on the transposed batch, so each gather reads whole rows of point
-    values.  A group's slots are summed in chunks of at most _GATHER_CHUNK
-    scalars, or one slot if that is more, so no temporary outgrows the larger
-    of _GATHER_CHUNK and the output.
-    """
-    zt = np.ascontiguousarray(z.T)
-    out = np.empty((bias.shape[0], zt.shape[1]))
-    out[...] = bias[:, np.newaxis]
-    for ids, cols, vals in groups:
-        rows, k = cols.shape
-        step = max(1, min(k, _GATHER_CHUNK // (rows * max(zt.shape[1], 1))))
-        acc = (zt[cols[:, :step]] * vals[:, :step, np.newaxis]).sum(axis=1)
-        for j in range(step, k, step):
-            acc += (zt[cols[:, j : j + step]] * vals[:, j : j + step, np.newaxis]).sum(axis=1)
-        out[ids] += acc
-    return out.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,7 +256,10 @@ def param_count(net: Network) -> int:
 
 
 def _prepare_input(net: Network, x) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x)
+    try:
+        x = np.asarray(x)
+    except ValueError as exc:
+        raise ShapeError(f"input x must be a point or a rectangular batch: {exc}") from exc
     if x.dtype.kind not in "iuf":
         raise DomainError(f"input x must hold integers or floats, got dtype {x.dtype}")
     x = x.astype(np.float64, copy=False)
@@ -269,8 +281,9 @@ def realize(net: Network, act: Activation, x) -> np.ndarray:
 
     ``x`` may be a single point of length I or a batch of shape (n, I);
     the result has shape (O,) or (n, O) accordingly.  Raises ShapeError on
-    a wrong shape and DomainError if ``x`` holds anything but integers and
-    floats (strings, bools, complex numbers, None) or a NaN or an infinity.
+    a wrong or ragged shape and DomainError if ``x`` holds anything but
+    integers and floats (strings, bools, complex numbers, None) or a NaN or
+    an infinity.
     """
     z, single = _prepare_input(net, x)
     for layer in net.layers[:-1]:

@@ -36,6 +36,31 @@ def same_bytes(a, b):
     )
 
 
+def check_block_plan(layer):
+    """The layer's block plan tiles its nonzeros: ids ascend within a block,
+    no row or column is in two blocks, the blocks scatter back to the
+    weights bit for bit, and every entry outside them (rows in no block
+    included) is zero.  Off-block zeros may be -0.0, which the plan does not
+    keep, so those compare by value."""
+    w = layer.weights
+    scattered = np.zeros(w.shape)
+    covered = np.zeros(w.shape, dtype=bool)
+    row_uses = np.zeros(w.shape[0], dtype=int)
+    col_uses = np.zeros(w.shape[1], dtype=int)
+    for row_ids, col_ids, blocks in layer._block_plan:
+        assert blocks.shape == row_ids.shape + col_ids.shape[1:]
+        assert (np.diff(row_ids) > 0).all() and (np.diff(col_ids) > 0).all()
+        at = (row_ids[:, :, np.newaxis], col_ids[:, np.newaxis, :])
+        scattered[at] = blocks
+        covered[at] = True
+        np.add.at(row_uses, row_ids.ravel(), 1)
+        np.add.at(col_uses, col_ids.ravel(), 1)
+    assert row_uses.max() <= 1 and col_uses.max() <= 1
+    assert scattered[covered].tobytes() == w[covered].tobytes()
+    assert np.array_equal(scattered, w)
+    assert not w[row_uses == 0].any()
+
+
 def spy(monkeypatch, module, name):
     """Record every call of ``module.name`` for the test; returns the list of calls."""
     calls = []

@@ -43,7 +43,7 @@ from anncalc import (
     time_hat_nets,
 )
 
-from conftest import random_net, same_bytes, spy
+from conftest import check_block_plan, random_net, same_bytes, spy
 
 
 def make_spec(rng, d, N, depth, y_scale=0.3, eps=1.0, q=3.0):
@@ -581,11 +581,11 @@ def test_spacetime_depth_is_uniform_max_summand(rng):
     assert net.depth == gamma.depth + 2 + spec.N * (spec.drift.depth - 1)
 
 
-def test_spacetime_gather_evaluation_is_consistent(rng):
+def test_spacetime_block_evaluation_is_consistent(rng):
     # d=3, N=4 at eps=0.1 has layers over 65,536 entries and under 1/8 nonzero
     net = spacetime_net(make_spec(rng, 3, 4, 2, eps=1e-1))
     assert any(
-        layer.weights.size >= 65536 and layer._gather_groups is not None
+        layer.weights.size >= 65536 and layer._block_plan is not None
         for layer in net.layers
     )
     x = np.column_stack([rng.uniform(0.0, 1.0, 16), rng.uniform(-2.0, 2.0, (16, 3))])
@@ -593,6 +593,24 @@ def test_spacetime_gather_evaluation_is_consistent(rng):
     assert np.array_equal(forward_states(net, RELU, x)[-1], batch)
     for point, row in zip(x, batch):
         assert np.allclose(realize(net, RELU, point), row, rtol=1e-12, atol=1e-12)
+
+
+def test_spacetime_block_plans_tile_the_nonzeros(rng):
+    net = spacetime_net(make_spec(rng, 3, 4, 2, eps=1e-1))
+    planned = [
+        layer
+        for layer in net.layers
+        if layer.weights.size >= 65536 and layer._block_plan is not None
+    ]
+    for layer in planned:
+        check_block_plan(layer)
+    # a block need not be a contiguous range of rows and columns
+    assert any(
+        np.any(np.diff(ids) != 1)
+        for layer in planned
+        for row_ids, col_ids, _ in layer._block_plan
+        for ids in (*row_ids, *col_ids)
+    )
 
 
 def _spacetime_net_per_node(spec):

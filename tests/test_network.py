@@ -26,7 +26,7 @@ from anncalc import (
     square_unit,
 )
 
-from conftest import random_net
+from conftest import check_block_plan, random_net
 
 
 def brute_force_params(net):
@@ -113,7 +113,7 @@ def test_realize_shape_error():
 @pytest.mark.parametrize("evaluate", [realize, forward_states])
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_evaluation_rejects_non_finite_input(evaluate, bad):
-    # dense and gather evaluation would disagree on 0 * inf, so neither runs
+    # dense and block evaluation would disagree on 0 * inf, so neither runs
     x = np.array([[0.5, -1.0], [2.0, bad]])
     with pytest.raises(DomainError, match=r"input x must be finite.*index \(1, 1\)"):
         evaluate(identity_net(2), RELU, x)
@@ -130,6 +130,12 @@ def test_evaluation_rejects_non_finite_input(evaluate, bad):
 def test_evaluation_rejects_non_numeric_input(evaluate, bad):
     with pytest.raises(DomainError, match="input x must hold integers or floats, got dtype"):
         evaluate(identity_net(2), RELU, bad)
+
+
+@pytest.mark.parametrize("evaluate", [realize, forward_states])
+def test_evaluation_rejects_ragged_input(evaluate):
+    with pytest.raises(ShapeError, match="input x must be a point or a rectangular batch"):
+        evaluate(identity_net(2), RELU, [[1, 2], [3]])
 
 
 def test_evaluation_accepts_integer_input():
@@ -282,7 +288,7 @@ def test_networks_equal_detects_differences(rng):
 
 
 # ---------------------------------------------------------------------------
-# gather evaluation of large sparse layers
+# block evaluation of large sparse layers
 
 
 def dense_reference(net, act, x):
@@ -318,7 +324,7 @@ def sparse_layer(rng, rows, cols, all_zero, dense_row):
     st.booleans(),
     st.sampled_from([None, 1, 37]),
 )
-def test_gather_layers_match_dense_reference(seed, all_zero, dense_row, batch):
+def test_block_layers_match_dense_reference(seed, all_zero, dense_row, batch):
     rng = np.random.default_rng(seed)
     widths = rng.integers(256, 300, size=3)
     net = Network(
@@ -327,13 +333,23 @@ def test_gather_layers_match_dense_reference(seed, all_zero, dense_row, batch):
             sparse_layer(rng, widths[2], widths[1], False, dense_row),
         )
     )
-    assert all(layer._gather_groups is not None for layer in net.layers)
+    assert all(layer._block_plan is not None for layer in net.layers)
     shape = (widths[0],) if batch is None else (batch, widths[0])
     x = rng.standard_normal(shape)
     got = realize(net, RELU, x)
     want, mag = dense_reference(net, RELU, x)
     assert got.shape == ((widths[2],) if batch is None else (batch, widths[2]))
     assert np.all(np.abs(np.atleast_2d(got) - want) <= 1e-12 * mag)
+
+
+@given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+def test_block_plan_tiles_the_nonzeros(seed, all_zero, dense_row):
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(256, 300, size=2)
+    layer = sparse_layer(rng, rows, cols, all_zero, dense_row)
+    check_block_plan(layer)
+    if all_zero:
+        assert layer._block_plan == ()
 
 
 def test_small_or_dense_layers_keep_the_plain_product_bits(rng):
