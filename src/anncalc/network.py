@@ -77,18 +77,10 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _frozen_matrix(values) -> np.ndarray:
+def _frozen(values, ndim: int, what: str) -> np.ndarray:
     a = np.array(values, dtype=np.float64, order="C")
-    if a.ndim != 2:
-        raise ShapeError(f"weight matrix must be 2-d, got shape {a.shape}")
-    a.setflags(write=False)
-    return a
-
-
-def _frozen_vector(values) -> np.ndarray:
-    a = np.array(values, dtype=np.float64, order="C")
-    if a.ndim != 1:
-        raise ShapeError(f"bias must be 1-d, got shape {a.shape}")
+    if a.ndim != ndim:
+        raise ShapeError(f"{what} must be {ndim}-d, got shape {a.shape}")
     a.setflags(write=False)
     return a
 
@@ -101,8 +93,8 @@ class Layer:
     bias: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _frozen_matrix(self.weights))
-        object.__setattr__(self, "bias", _frozen_vector(self.bias))
+        object.__setattr__(self, "weights", _frozen(self.weights, 2, "weight matrix"))
+        object.__setattr__(self, "bias", _frozen(self.bias, 1, "bias"))
         if self.weights.shape[0] != self.bias.shape[0]:
             raise ShapeError(
                 f"weight rows {self.weights.shape[0]} != bias length {self.bias.shape[0]}"
@@ -118,27 +110,41 @@ class Layer:
     def cols(self) -> int:
         return self.weights.shape[1]
 
+    def after(self, other: Layer) -> Layer:
+        """This map after ``other`` = (V, c) as one layer (W V, W c + b), as composition fuses."""
+        return Layer(self.weights @ other.weights, self.weights @ other.bias + self.bias)
+
+    @staticmethod
+    def stack(layers: Sequence[Layer]) -> Layer:
+        """The block-diagonal layer: each layer maps its own slice of the input, in order."""
+        weights = np.zeros((sum(p.rows for p in layers), sum(p.cols for p in layers)))
+        r = c = 0
+        for layer in layers:
+            weights[r : r + layer.rows, c : c + layer.cols] = layer.weights
+            r, c = r + layer.rows, c + layer.cols
+        return Layer(weights, np.concatenate([layer.bias for layer in layers]))
+
     def apply(self, z: np.ndarray) -> np.ndarray:
         """The affine map on a batch: ``z @ W.T + b`` for ``z`` of shape (n, cols).
 
-        A layer with at least 65,536 entries of which at most 1/8 are nonzero
-        is evaluated from its cached block plan: one stacked product per
-        block shape, added into the bias-filled output rows, so a row in no
-        block gets the bias alone.  Its result equals the dense product up
-        to summation order.  Every other layer computes exactly
+        A layer with a block plan is evaluated from it: one stacked product
+        per block shape, added into the bias-filled output rows, so a row in
+        no block gets the bias alone.  Its result equals the dense product
+        up to summation order.  Every other layer computes exactly
         ``z @ W.T + b``.
         """
-        if self.weights.size >= _BLOCK_MIN_ENTRIES and self._block_plan is not None:
-            zt = np.ascontiguousarray(z.T)
-            out = np.repeat(self.bias[:, np.newaxis], zt.shape[1], axis=1)
-            for row_ids, col_ids, blocks in self._block_plan:
-                out[row_ids.ravel()] += (blocks @ zt[col_ids]).reshape(row_ids.size, -1)
-            return out.T
-        return z @ self.weights.T + self.bias
+        if self._block_plan is None:
+            return z @ self.weights.T + self.bias
+        zt = np.ascontiguousarray(z.T)
+        out = np.repeat(self.bias[:, np.newaxis], zt.shape[1], axis=1)
+        for row_ids, col_ids, blocks in self._block_plan:
+            out[row_ids.ravel()] += (blocks @ zt[col_ids]).reshape(row_ids.size, -1)
+        return out.T
 
     @cached_property
     def _block_plan(self) -> tuple | None:
-        """The nonzeros as dense blocks grouped by shape, or None if too dense.
+        """The nonzeros as dense blocks grouped by shape, or None when the
+        layer is too small or too dense for them and takes the plain product.
 
         A block is a connected component of the graph joining row i to
         column j wherever W[i, j] != 0, so no row or column is in two blocks
@@ -147,6 +153,8 @@ class Layer:
         stacked weights.
         """
         w = self.weights
+        if w.size < _BLOCK_MIN_ENTRIES:
+            return None
         flat = np.flatnonzero(w != 0.0)
         if flat.size * _BLOCK_MAX_DENSITY > w.size:
             return None
@@ -239,7 +247,7 @@ IDENTITY = Activation("identity", lambda z: z)
 
 def affine(weights, bias=None) -> Network:
     """Single-layer network for the affine map x -> W x + b (b defaults to 0)."""
-    w = _frozen_matrix(weights)
+    w = _frozen(weights, 2, "weight matrix")
     if bias is None:
         bias = np.zeros(w.shape[0])
     return Network((Layer(w, bias),))
@@ -276,6 +284,15 @@ def _prepare_input(net: Network, x) -> tuple[np.ndarray, bool]:
     return z, single
 
 
+def _states(net: Network, act: Activation, z: np.ndarray):
+    """The states x_0, ..., x_L of one evaluation of the batch ``z``, one at a time."""
+    yield z
+    for layer in net.layers[:-1]:
+        z = act.fn(layer.apply(z))
+        yield z
+    yield net.layers[-1].apply(z)
+
+
 def realize(net: Network, act: Activation, x) -> np.ndarray:
     """Evaluate the network at ``x``: activation after every layer but the last.
 
@@ -286,9 +303,8 @@ def realize(net: Network, act: Activation, x) -> np.ndarray:
     an infinity.
     """
     z, single = _prepare_input(net, x)
-    for layer in net.layers[:-1]:
-        z = act.fn(layer.apply(z))
-    z = net.layers[-1].apply(z)
+    for z in _states(net, act, z):
+        pass
     return z[0] if single else z
 
 
@@ -298,24 +314,16 @@ def forward_states(net: Network, act: Activation, x) -> list[np.ndarray]:
     Takes ``x`` as :func:`realize` does and raises the same errors.
     """
     z, single = _prepare_input(net, x)
-    states = [z]
-    for layer in net.layers[:-1]:
-        z = act.fn(layer.apply(z))
-        states.append(z)
-    states.append(net.layers[-1].apply(z))
+    states = list(_states(net, act, z))
     return [s[0] for s in states] if single else states
 
 
 def networks_equal(a: Network, b: Network) -> bool:
     """Structural equality: identical shapes and bit-identical scalars."""
-    if a.depth != b.depth:
-        return False
-    for la, lb in zip(a.layers, b.layers):
-        if la.weights.shape != lb.weights.shape:
-            return False
-        if not (np.array_equal(la.weights, lb.weights) and np.array_equal(la.bias, lb.bias)):
-            return False
-    return True
+    return a.depth == b.depth and all(
+        np.array_equal(la.weights, lb.weights) and np.array_equal(la.bias, lb.bias)
+        for la, lb in zip(a.layers, b.layers)
+    )
 
 
 def serialize(net: Network) -> bytes:

@@ -56,9 +56,7 @@ def compose(phi1: Network, phi2: Network) -> Network:
             f"components, right produces {phi2.output_dim} "
             f"(dims {dims(phi1)} vs {dims(phi2)})"
         )
-    first = phi1.layers[0]
-    last = phi2.layers[-1]
-    fused = Layer(first.weights @ last.weights, first.weights @ last.bias + first.bias)
+    fused = phi1.layers[0].after(phi2.layers[-1])
     return Network(phi2.layers[:-1] + (fused,) + phi1.layers[1:])
 
 
@@ -160,18 +158,6 @@ def extend(L: int, emulator: IdentityEmulator, phi: Network) -> Network:
     return compose(power(emulator.net, L - phi.depth), phi)
 
 
-def _block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
-    rows = sum(b.shape[0] for b in blocks)
-    cols = sum(b.shape[1] for b in blocks)
-    out = np.zeros((rows, cols))
-    r = c = 0
-    for b in blocks:
-        out[r : r + b.shape[0], c : c + b.shape[1]] = b
-        r += b.shape[0]
-        c += b.shape[1]
-    return out
-
-
 def parallel_equal(nets: Sequence[Network]) -> Network:
     """Block-diagonal stacking of equal-depth networks; realizes the tuple map."""
     if not nets:
@@ -179,12 +165,7 @@ def parallel_equal(nets: Sequence[Network]) -> Network:
     depths = [net.depth for net in nets]
     if len(set(depths)) != 1:
         raise ShapeError(f"parallelization needs equal depths, got {depths}")
-    layers = []
-    for k in range(depths[0]):
-        w = _block_diag([net.layers[k].weights for net in nets])
-        b = np.concatenate([net.layers[k].bias for net in nets])
-        layers.append(Layer(w, b))
-    return Network(tuple(layers))
+    return Network(tuple(Layer.stack(column) for column in zip(*(net.layers for net in nets))))
 
 
 def parallel_general(
