@@ -76,7 +76,6 @@ from .verification import (
     halton,
     run_suite,
     scaling_report,
-    sup_error_on_grid,
 )
 
 __version__ = "0.1.0"

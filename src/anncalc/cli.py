@@ -162,7 +162,7 @@ def _parse_points(args, input_dim) -> np.ndarray:
         rows = [_split_numbers(r, "--points") for r in args.points.split(";") if r.strip()]
         if len({len(row) for row in rows}) > 1:
             raise ParseError("--points: every point needs the same number of coordinates")
-        pts = np.array(rows)
+        pts = np.array(rows, ndmin=2)
     elif args.points_csv:
         try:
             pts = np.loadtxt(args.points_csv, delimiter=",", ndmin=2)
@@ -170,8 +170,6 @@ def _parse_points(args, input_dim) -> np.ndarray:
             raise ParseError(f"--points-csv: {exc}") from exc
     else:
         raise DomainError("eval needs --points or --points-csv")
-    if pts.ndim == 1:
-        pts = pts[:, None]
     if pts.shape[1] != input_dim:
         raise ShapeError(f"points have {pts.shape[1]} columns, network expects {input_dim}")
     return pts

@@ -8,10 +8,12 @@ under ReLU, the identity, or any other scalar activation.  All scalars are
 checked by exact comparison.
 
 Weights are stored dense and row-major; that layout is the contract every
-operation and file works with.  Evaluation is free to differ: a large layer
-that is mostly zeros is evaluated block by block, one stacked product per
-block shape (see :meth:`Layer.apply`), while every other layer uses the
-plain product.
+operation and file works with, and this module is the only one that reads or
+builds it.  The algebra in ``ops`` goes through :meth:`Layer.after` (the
+fused layer of a composition) and :meth:`Layer.stack` (the block-diagonal
+layer of a parallelization).  Evaluation is free to differ: a layer decides
+from its own block plan whether it is evaluated block by block, one stacked
+product per block shape, or by the plain product (see :meth:`Layer.apply`).
 """
 
 from __future__ import annotations
@@ -78,7 +80,18 @@ def _is_real(value) -> bool:
 
 
 def _frozen(values, ndim: int, what: str) -> np.ndarray:
-    a = np.array(values, dtype=np.float64, order="C")
+    """``values`` as a read-only C-ordered float64 array of ``ndim`` dimensions.
+
+    Raises ShapeError on a ragged list or a wrong number of dimensions and
+    DomainError on anything but integers and floats (bools, strings, None).
+    """
+    try:
+        a = np.array(values, order="C")
+    except ValueError as exc:
+        raise ShapeError(f"{what} must be rectangular: {exc}") from exc
+    if a.dtype.kind not in "iuf":
+        raise DomainError(f"{what} must hold integers or floats, got dtype {a.dtype}")
+    a = a.astype(np.float64, copy=False)
     if a.ndim != ndim:
         raise ShapeError(f"{what} must be {ndim}-d, got shape {a.shape}")
     a.setflags(write=False)

@@ -82,7 +82,6 @@ __all__ = [
     "halton",
     "run_suite",
     "scaling_report",
-    "sup_error_on_grid",
 ]
 
 ABS_TOL = 1e-9
@@ -188,24 +187,6 @@ class _Law:
         # a NaN measurement sticks: its row fails, and no later value compares above it
         if measured > self.value or math.isnan(measured):
             self._set(measured)
-
-
-def sup_error_on_grid(f, g, grid, weight=None) -> float:
-    """max over the grid of ||f(p) - g(p)|| / weight(p).
-
-    f and g act on the whole grid array at once; point values may be scalar
-    or vector.  With weight=None the plain sup norm is returned.
-    """
-    grid = np.asarray(grid, dtype=np.float64)
-    if grid.size == 0:
-        raise DomainError("sup_error_on_grid needs a non-empty grid")
-    fv = np.asarray(f(grid), dtype=np.float64)
-    gv = np.asarray(g(grid), dtype=np.float64)
-    diff = fv - gv
-    err = np.abs(diff) if diff.ndim == 1 else np.linalg.norm(diff, axis=-1)
-    if weight is not None:
-        err = err / np.asarray(weight(grid), dtype=np.float64)
-    return float(np.max(err))
 
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

@@ -252,6 +252,33 @@ def test_eval_rejects_bad_points(tmp_path, capsys, flags, csv_text):
     assert err.startswith(f"error: {flags[0]}")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["build", "--kind", "spacetime", "-o", "OUT"],
+         "--kind spacetime needs --spec pointing to a JSON scheme file"),
+        (["op", "compose", "NET", "-o", "OUT"], "compose needs at least two networks"),
+        (["op", "power", "NET", "NET", "--n", "2", "-o", "OUT"], "power takes exactly one network"),
+        (["op", "power", "NET", "-o", "OUT"], "power needs --n"),
+        (["op", "extend", "NET", "NET", "--L", "3", "-o", "OUT"],
+         "extend takes exactly one network"),
+        (["op", "extend", "NET", "-o", "OUT"], "extend needs --L"),
+        (["eval", "NET"], "eval needs --points or --points-csv"),
+        (["eval", "NET", "--points", "1,2,3"], "points have 3 columns, network expects 2"),
+        (["eval", "NET", "--points", ";"], "points have 0 columns, network expects 2"),
+    ],
+    ids=["build_no_spec", "compose_one", "power_two", "power_no_n", "extend_two",
+         "extend_no_L", "eval_no_points", "eval_columns", "eval_empty_points"],
+)
+def test_usage_mistakes_are_one_error_line(tmp_path, capsys, argv, message):
+    net, out = tmp_path / "id.ann.json", tmp_path / "out.ann.json"
+    run("build", "--kind", "identity", "--d", 2, "-o", net)
+    capsys.readouterr()
+    assert run(*[{"NET": net, "OUT": out}.get(a, a) for a in argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_op_sum_rejects_bad_weights(tmp_path, rng, capsys):
     a = tmp_path / "a.ann.json"
     save_network(random_net(rng, 2, 2, 2), a)

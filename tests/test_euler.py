@@ -11,6 +11,8 @@ from anncalc import (
     DomainError,
     EulerSpec,
     GrowthBoundInputs,
+    IDENTITY,
+    IdentityEmulator,
     Network,
     RELU,
     ShapeError,
@@ -200,6 +202,32 @@ def test_residual_chain_names_failed_inequality(rng):
     fat_psi = Network(((np.zeros((9, d)), np.zeros(9)), (np.zeros((d, 9)), np.zeros(d))))
     with pytest.raises(ShapeError, match="second-to-last"):
         residual_chain(fat_psi, [narrow, wide], emu)
+
+
+def test_residual_step_checks_both_dims(rng):
+    emu, good = relu_identity(2), random_net(rng, 2, 2, 2)
+    with pytest.raises(ShapeError, match=r"phi1 must map R\^2 to R\^2, got I=2, O=3"):
+        residual_step(random_net(rng, 2, 3, 2), good, emu)
+    with pytest.raises(ShapeError, match=r"phi2 must map R\^2 to R\^2, got I=3, O=2"):
+        residual_step(good, random_net(rng, 3, 2, 2), emu)
+
+
+def test_residual_chain_checks_its_inputs(rng):
+    emu, phi = relu_identity(1), random_net(rng, 1, 1, 2)
+    with pytest.raises(ShapeError, match=r"psi must map R\^1 to R\^1, got I=2, O=1"):
+        residual_chain(random_net(rng, 2, 1, 2), [phi], emu)
+    with pytest.raises(ShapeError, match=r"chain networks must share one depth, got \[2, 3\]"):
+        residual_chain(phi, [phi, random_net(rng, 1, 1, 3)], emu)
+    with pytest.raises(ShapeError, match=r"chain network 1 must map R\^1 to R\^1, got I=1, O=2"):
+        residual_chain(phi, [phi, random_net(rng, 1, 2, 2)], emu)
+    # identity emulators on R^1 of width 1 (under the identity) and 4 > 2d
+    one = (np.ones((1, 1)), np.zeros(1))
+    narrow = IdentityEmulator(Network((one, one)), 1, IDENTITY)
+    padded = (np.array([[1.0], [-1.0], [0.0], [0.0]]), np.zeros(4))
+    wide = IdentityEmulator(Network((padded, (np.array([[1.0, -1.0, 0.0, 0.0]]), np.zeros(1)))), 1)
+    for emulator, i in ((narrow, 1), (wide, 4)):
+        with pytest.raises(ShapeError, match=f"emulator width violates 2 <= i <= 2d: i={i}, d=1"):
+            residual_chain(phi, [phi], emulator)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +446,11 @@ def test_gronwall_bound_rejects_bad_inputs(args, x_norm, match):
         gronwall_bound(GrowthBoundInputs(*args), x_norm, 1)
 
 
+def test_growth_bound_inputs_need_one_more_maximum_than_steps():
+    with pytest.raises(ShapeError, match="need 2 partial-sum maxima, got 1"):
+        GrowthBoundInputs(1.0, 1.0, (1.0,), (0.0,))
+
+
 @pytest.mark.parametrize(
     "build, args, kwargs, match",
     [
@@ -582,12 +615,9 @@ def test_spacetime_depth_is_uniform_max_summand(rng):
 
 
 def test_spacetime_block_evaluation_is_consistent(rng):
-    # d=3, N=4 at eps=0.1 has layers over 65,536 entries and under 1/8 nonzero
+    # d=3, N=4 at eps=0.1 has layers large and sparse enough for a block plan
     net = spacetime_net(make_spec(rng, 3, 4, 2, eps=1e-1))
-    assert any(
-        layer.weights.size >= 65536 and layer._block_plan is not None
-        for layer in net.layers
-    )
+    assert any(layer._block_plan is not None for layer in net.layers)
     x = np.column_stack([rng.uniform(0.0, 1.0, 16), rng.uniform(-2.0, 2.0, (16, 3))])
     batch = realize(net, RELU, x)
     assert np.array_equal(forward_states(net, RELU, x)[-1], batch)
@@ -597,11 +627,7 @@ def test_spacetime_block_evaluation_is_consistent(rng):
 
 def test_spacetime_block_plans_tile_the_nonzeros(rng):
     net = spacetime_net(make_spec(rng, 3, 4, 2, eps=1e-1))
-    planned = [
-        layer
-        for layer in net.layers
-        if layer.weights.size >= 65536 and layer._block_plan is not None
-    ]
+    planned = [layer for layer in net.layers if layer._block_plan is not None]
     for layer in planned:
         check_block_plan(layer)
     # a block need not be a contiguous range of rows and columns

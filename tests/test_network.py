@@ -164,6 +164,45 @@ def test_network_validation():
         Network(((np.zeros((2, 3)), np.zeros(2)), (np.zeros((1, 4)), np.zeros(1))))
 
 
+@pytest.mark.parametrize(
+    "build", [Layer, affine, lambda w, b: Network(((w, b),))], ids=["Layer", "affine", "Network"]
+)
+@pytest.mark.parametrize(
+    "weights, bias, error, message",
+    [
+        ([[True, False]], [0.0], DomainError,
+         "weight matrix must hold integers or floats, got dtype bool"),
+        ([["1.5", "2"]], [0.0], DomainError,
+         "weight matrix must hold integers or floats, got dtype <U3"),
+        ([[None, 1.0]], [0.0], DomainError,
+         "weight matrix must hold integers or floats, got dtype object"),
+        ([[1.0, 2.0]], [False], DomainError, "bias must hold integers or floats, got dtype bool"),
+        ([[1.0, 2.0], [3.0]], [0.0, 0.0], ShapeError, "weight matrix must be rectangular: "),
+        ([[1.0], [2.0]], [[0.0], [1.0, 2.0]], ShapeError, "bias must be rectangular: "),
+        ([1.0, 2.0], [0.0], ShapeError, "weight matrix must be 2-d, got shape (2,)"),
+        ([[1.0, 2.0]], [[0.0]], ShapeError, "bias must be 1-d, got shape (1, 1)"),
+        (np.zeros((0, 2)), [], ShapeError, "layer dimensions must be positive, got (0, 2)"),
+    ],
+    ids=["bools", "strings", "none", "bool_bias", "ragged_weights", "ragged_bias",
+         "1d_weights", "2d_bias", "zero_size"],
+)
+def test_layer_inputs_get_their_documented_errors(build, weights, bias, error, message):
+    with pytest.raises(error) as exc:
+        build(weights, bias)
+    assert str(exc.value).startswith(message)
+
+
+def test_layer_inputs_accept_integers_and_affine_needs_a_matrix():
+    layer = Layer([[1, -2]], np.array([3], dtype=np.uint8))
+    assert layer.weights.dtype == layer.bias.dtype == np.float64
+    assert layer.weights.tolist() == [[1.0, -2.0]] and layer.bias.tolist() == [3.0]
+    # without a bias, affine reads the row count off the frozen weights
+    for weights, shape in ((5.0, "()"), ([1.0, 2.0], "(2,)")):
+        with pytest.raises(ShapeError) as exc:
+            affine(weights)
+        assert str(exc.value) == f"weight matrix must be 2-d, got shape {shape}"
+
+
 def test_layers_are_immutable():
     net = identity_net(2)
     with pytest.raises(ValueError):
@@ -201,6 +240,8 @@ def test_deserialize_rejects_malformed_documents():
         deserialize(b"{}")
     with pytest.raises(ParseError):
         deserialize(b'{"layers": []}')
+    with pytest.raises(ParseError, match="layer 0: missing 'weights' or 'bias'"):
+        deserialize(b'{"layers": [{"bias": [0.0]}]}')
     # layers that do not chain
     doc = (
         b'{"layers": [{"weights": [[1.0]], "bias": [0.0]},'
@@ -285,6 +326,7 @@ def test_networks_equal_detects_differences(rng):
     assert networks_equal(a, bumped) == np.array_equal(
         a.layers[0].weights, a.layers[0].weights + 1e-16
     )
+    assert not networks_equal(affine(np.ones((2, 2))), affine(np.ones((2, 3))))
 
 
 # ---------------------------------------------------------------------------
@@ -358,5 +400,6 @@ def test_small_or_dense_layers_keep_the_plain_product_bits(rng):
     dense = rng.standard_normal((256, 256))
     for w in (small, dense):
         layer = Layer(w, rng.standard_normal(w.shape[0]))
+        assert layer._block_plan is None
         z = rng.standard_normal((9, 256))
         assert np.array_equal(realize(Network((layer,)), RELU, z), z @ w.T + layer.bias)

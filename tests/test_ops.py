@@ -326,6 +326,45 @@ def test_sum_equal_rejects_empty_and_mixed():
         sum_equal([identity_net(1), identity_net(2)])
 
 
+@pytest.mark.parametrize("op", [parallel_equal, parallel_general, sum_general])
+def test_operations_need_a_network(op):
+    with pytest.raises(ShapeError, match="needs at least one network"):
+        op([])
+
+
+def test_emulators_and_weights_must_match_the_networks():
+    nets = [identity_net(1), identity_net(1)]
+    with pytest.raises(ShapeError, match="got 2 networks but 1 emulators"):
+        parallel_general(nets, [relu_identity(1)])
+    with pytest.raises(ShapeError, match="got 2 networks but 3 weights"):
+        sum_general(nets, h=[1.0, 1.0, 1.0])
+    with pytest.raises(ShapeError) as exc:
+        sum_general([identity_net(1), identity_net(2)])
+    assert str(exc.value) == (
+        "sum_general needs a common interface, got inputs [1, 2] and outputs [1, 2]"
+    )
+
+
+@pytest.mark.parametrize(
+    "apply, message",
+    [
+        (lambda net, emu: extend(3, emu, net),
+         "extension emulator acts on 3 components but the network produces 2"),
+        (lambda net, emu: sum_general([net, net], emu),
+         "sum emulator acts on 3 components but the networks produce 2"),
+        (lambda net, emu: concat_identity(net, emu, emu.net),
+         "left network consumes 2 components but the emulator produces 3"),
+        (lambda net, emu: concat_identity(emu.net, emu, net),
+         "right network produces 2 components but the emulator consumes 3"),
+    ],
+    ids=["extend", "sum_general", "concat_left", "concat_right"],
+)
+def test_emulator_dimension_must_match(rng, apply, message):
+    with pytest.raises(ShapeError) as exc:
+        apply(random_net(rng, 2, 2, 2), relu_identity(3))
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize("sum_fn", [sum_equal, sum_general])
 @pytest.mark.parametrize(
     "h, named",

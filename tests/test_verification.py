@@ -12,7 +12,6 @@ from anncalc import (
     halton,
     identity_net,
     run_suite,
-    sup_error_on_grid,
 )
 
 
@@ -120,29 +119,6 @@ def test_report_json_is_strict():
         ("nan", 1e-12, "nan"),
     ]
     assert [e["pass"] for e in entries] == [True, False]
-
-
-def test_sup_error_on_grid():
-    grid = np.linspace(0.0, 1.0, 101)
-    f = lambda g: g**2
-    assert sup_error_on_grid(f, f, grid) == 0.0
-    g_fn = lambda g: g**2 + 0.25
-    assert sup_error_on_grid(f, g_fn, grid) == pytest.approx(0.25)
-    weighted = sup_error_on_grid(f, g_fn, grid, weight=lambda g: np.full(len(g), 2.0))
-    assert weighted == pytest.approx(0.125)
-    with pytest.raises(DomainError):
-        sup_error_on_grid(f, f, np.array([]))
-
-
-def test_sup_error_on_grid_against_square_net():
-    from anncalc import RELU, realize, square_unit
-
-    net = square_unit(2.0**-10)
-    grid = np.linspace(0.0, 1.0, 100_000)
-    err = sup_error_on_grid(
-        lambda g: g**2, lambda g: realize(net, RELU, g[:, None])[:, 0], grid
-    )
-    assert err <= 2.0**-10 + 1e-9
 
 
 def test_halton_is_deterministic_and_low_discrepancy():
