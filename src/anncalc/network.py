@@ -79,19 +79,34 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _floats(a: np.ndarray, values, what: str) -> np.ndarray:
+    """``a``, the array numpy made of ``values``, as float64; DomainError unless
+    ``values`` holds integers and floats only.  A list or tuple is walked for
+    bools, which numpy turns into numbers when they share it with numbers."""
+    if a.dtype.kind in "iuf":
+        if isinstance(values, np.ndarray) or not _holds_bool(values):
+            return a.astype(np.float64, copy=False)
+        got = "a bool"
+    else:
+        # numpy keeps an integer it cannot hold in 64 bits as a Python object
+        objects = a.flat if a.dtype.kind == "O" else ()
+        wide = [v for v in objects if _is_int(v) and not -(2**63) <= v < 2**64]
+        got = f"{wide[0]}, an integer wider than 64 bits" if wide else f"dtype {a.dtype}"
+    raise DomainError(f"{what} must hold integers or floats, got {got}")
+
+
 def _frozen(values, ndim: int, what: str) -> np.ndarray:
     """``values`` as a read-only C-ordered float64 array of ``ndim`` dimensions.
 
     Raises ShapeError on a ragged list or a wrong number of dimensions and
-    DomainError on anything but integers and floats (bools, strings, None).
+    DomainError on anything but integers and floats (bools, strings, None,
+    integers wider than 64 bits).
     """
     try:
         a = np.array(values, order="C")
     except ValueError as exc:
         raise ShapeError(f"{what} must be rectangular: {exc}") from exc
-    if a.dtype.kind not in "iuf":
-        raise DomainError(f"{what} must hold integers or floats, got dtype {a.dtype}")
-    a = a.astype(np.float64, copy=False)
+    a = _floats(a, values, what)
     if a.ndim != ndim:
         raise ShapeError(f"{what} must be {ndim}-d, got shape {a.shape}")
     a.setflags(write=False)
@@ -278,12 +293,10 @@ def param_count(net: Network) -> int:
 
 def _prepare_input(net: Network, x) -> tuple[np.ndarray, bool]:
     try:
-        x = np.asarray(x)
+        a = np.asarray(x)
     except ValueError as exc:
         raise ShapeError(f"input x must be a point or a rectangular batch: {exc}") from exc
-    if x.dtype.kind not in "iuf":
-        raise DomainError(f"input x must hold integers or floats, got dtype {x.dtype}")
-    x = x.astype(np.float64, copy=False)
+    x = _floats(a, x, "input x")
     single = x.ndim == 1
     z = x[np.newaxis, :] if single else x
     if z.ndim != 2 or z.shape[1] != net.input_dim:
@@ -365,9 +378,12 @@ def _reject_constant(token: str):
 
 
 def _holds_bool(raw) -> bool:
-    if isinstance(raw, list):
+    """True if ``raw``, a scalar or nested lists and tuples, holds a bool (numpy's too)."""
+    if isinstance(raw, (list, tuple)):
         return any(_holds_bool(v) for v in raw)
-    return isinstance(raw, bool)
+    if isinstance(raw, np.ndarray):
+        return raw.dtype.kind == "b"
+    return isinstance(raw, (bool, np.bool_))
 
 
 def _number_array(raw, name: str, spells_bool: bool = True) -> np.ndarray:

@@ -140,6 +140,7 @@ def test_evaluation_rejects_ragged_input(evaluate):
 
 def test_evaluation_accepts_integer_input():
     assert realize(identity_net(2), RELU, [1, -2]).tolist() == [1.0, -2.0]
+    assert realize(identity_net(2), RELU, [2**64 - 1, 0]).tolist() == [2.0**64, 0.0]
 
 
 def test_forward_states_alternates_affine_and_activation(rng):
@@ -177,14 +178,18 @@ def test_network_validation():
         ([[None, 1.0]], [0.0], DomainError,
          "weight matrix must hold integers or floats, got dtype object"),
         ([[1.0, 2.0]], [False], DomainError, "bias must hold integers or floats, got dtype bool"),
+        ([[2**70, 1.0]], [0.0], DomainError, "weight matrix must hold integers or floats, "
+         "got 1180591620717411303424, an integer wider than 64 bits"),
+        ([[1.0]], [-(2**63) - 1], DomainError, "bias must hold integers or floats, "
+         "got -9223372036854775809, an integer wider than 64 bits"),
         ([[1.0, 2.0], [3.0]], [0.0, 0.0], ShapeError, "weight matrix must be rectangular: "),
         ([[1.0], [2.0]], [[0.0], [1.0, 2.0]], ShapeError, "bias must be rectangular: "),
         ([1.0, 2.0], [0.0], ShapeError, "weight matrix must be 2-d, got shape (2,)"),
         ([[1.0, 2.0]], [[0.0]], ShapeError, "bias must be 1-d, got shape (1, 1)"),
         (np.zeros((0, 2)), [], ShapeError, "layer dimensions must be positive, got (0, 2)"),
     ],
-    ids=["bools", "strings", "none", "bool_bias", "ragged_weights", "ragged_bias",
-         "1d_weights", "2d_bias", "zero_size"],
+    ids=["bools", "strings", "none", "bool_bias", "wide_int", "wide_int_bias", "ragged_weights",
+         "ragged_bias", "1d_weights", "2d_bias", "zero_size"],
 )
 def test_layer_inputs_get_their_documented_errors(build, weights, bias, error, message):
     with pytest.raises(error) as exc:
@@ -196,11 +201,49 @@ def test_layer_inputs_accept_integers_and_affine_needs_a_matrix():
     layer = Layer([[1, -2]], np.array([3], dtype=np.uint8))
     assert layer.weights.dtype == layer.bias.dtype == np.float64
     assert layer.weights.tolist() == [[1.0, -2.0]] and layer.bias.tolist() == [3.0]
+    # the widest integers numpy holds are still numbers
+    assert Layer([[2**64 - 1, -(2**63)]], [0]).weights.tolist() == [[2.0**64, -(2.0**63)]]
     # without a bias, affine reads the row count off the frozen weights
     for weights, shape in ((5.0, "()"), ([1.0, 2.0], "(2,)")):
         with pytest.raises(ShapeError) as exc:
             affine(weights)
         assert str(exc.value) == f"weight matrix must be 2-d, got shape {shape}"
+
+
+_BOOL_AMONG_NUMBERS = {
+    "Layer": (lambda row: Layer([row], [0.0]), "weight matrix"),
+    "Layer_bias": (lambda row: Layer([[1.0]] * len(row), row), "bias"),
+    "affine": (lambda row: affine([row]), "weight matrix"),
+    "Network": (lambda row: Network((((row,), (0.0,)),)), "weight matrix"),
+    "realize": (lambda row: realize(identity_net(2), RELU, row), "input x"),
+    "realize_batch": (lambda row: realize(identity_net(2), RELU, [[0.5, 1.0], row]), "input x"),
+    "forward_states": (lambda row: forward_states(identity_net(2), RELU, row), "input x"),
+}
+
+
+@pytest.mark.parametrize("entry", _BOOL_AMONG_NUMBERS, ids=list(_BOOL_AMONG_NUMBERS))
+@pytest.mark.parametrize(
+    "row", [[True, 1.5], (1.5, False), [np.True_, 1.5], [1, np.False_]],
+    ids=["list", "tuple", "numpy_bool", "with_int"],
+)
+def test_bools_among_numbers_are_refused(entry, row):
+    # numpy alone would turn the bool into 1.0 or 0.0
+    build, what = _BOOL_AMONG_NUMBERS[entry]
+    with pytest.raises(DomainError) as exc:
+        build(row)
+    assert str(exc.value) == f"{what} must hold integers or floats, got a bool"
+
+
+@pytest.mark.parametrize("evaluate", [realize, forward_states])
+@pytest.mark.parametrize(
+    "x, wide", [([2**70], 2**70), ([[0.5], [-(2**70)]], -(2**70))], ids=["point", "batch"]
+)
+def test_evaluation_refuses_integers_wider_than_64_bits(evaluate, x, wide):
+    with pytest.raises(DomainError) as exc:
+        evaluate(identity_net(1), RELU, x)
+    assert str(exc.value) == (
+        f"input x must hold integers or floats, got {wide}, an integer wider than 64 bits"
+    )
 
 
 def test_layers_are_immutable():

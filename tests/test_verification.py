@@ -6,13 +6,27 @@ import math
 import numpy as np
 import pytest
 
+import anncalc.verification
 from anncalc import (
+    RELU,
     BoundReport,
     DomainError,
+    EulerSpec,
+    GrowthBoundInputs,
+    euler_oracle,
+    gronwall_bound,
     halton,
     identity_net,
+    param_count,
+    realize,
     run_suite,
+    scaling_bounds,
+    scaling_report,
+    spacetime_net,
 )
+from anncalc.verification import _demo_drift, _drift_growth_constant, _sweep_ratios, _x_points
+
+from conftest import spy
 
 
 def test_bound_report_semantics():
@@ -166,9 +180,10 @@ def test_run_suite_rejects_bad_seed(seed):
         run_suite("euler", seed)
 
 
-def test_run_suite_reports_are_byte_identical():
-    a = run_suite("square", 7)
-    b = run_suite("square", 7)
+@pytest.mark.parametrize("suite", ["square", "spacetime", "thm1"])
+def test_run_suite_reports_are_byte_identical(suite):
+    a = run_suite(suite, 7)
+    b = run_suite(suite, 7)
     assert a.to_csv() == b.to_csv()
     assert a.to_json() == b.to_json()
 
@@ -207,3 +222,93 @@ def test_scaling_report_checks_its_constants(growth_c, size_exp, match):
     spec = EulerSpec(identity_net(1), 1.0, 1, (np.zeros(1),), 1e-2, 3.0)
     with pytest.raises(DomainError, match=match):
         scaling_report(spec, growth_c, size_exp)
+
+
+def _spacetime_case(d=2, N=4, eps=1e-1, seed=7):
+    """A spec like the spacetime suite's, with its net and (t, x) grid."""
+    rng = np.random.default_rng(seed)
+    y = tuple(0.4 * rng.standard_normal((N, d)))
+    spec = EulerSpec(_demo_drift(seed, d), 1.0, N, y, eps, 3.0)
+    return spec, spacetime_net(spec), np.linspace(0.0, 1.0, 21), _x_points(d, 21)
+
+
+def _per_point_ratios(net, spec, tgrid, xpts, bound_pair):
+    """The largest error and growth ratios by one realize per x and one norm
+    per (t, x); bound_pair(t, x) gives the two bounds at a point."""
+    err = growth = 0.0
+    for x in xpts:
+        vals = realize(net, RELU, np.column_stack([tgrid, np.tile(x, (len(tgrid), 1))]))
+        for t, val, want in zip(tgrid, vals, euler_oracle(spec, tgrid, x)):
+            err_bound, growth_bound = bound_pair(t, x)
+            err = max(err, float(np.linalg.norm(val - want)) / err_bound)
+            growth = max(growth, float(np.linalg.norm(val)) / growth_bound)
+    return err, growth
+
+
+def _ratio_rows(report, tag):
+    rows = {e.name: e for e in report.entries}
+    return [rows[f"{tag}_{kind}_vs_bound_ratio"] for kind in ("error", "growth")]
+
+
+def test_spacetime_sweep_realizes_the_net_once(monkeypatch):
+    spec, _, tgrid, xpts = _spacetime_case()
+    calls = spy(monkeypatch, anncalc.verification, "realize")
+    report = BoundReport()
+    anncalc.verification._spacetime_config_checks(report, spec, tgrid, "st")
+    # the drift is realized too, on d inputs; the space-time net takes (t, x)
+    sweeps = [args for args in calls if args[0].input_dim == spec.d + 1]
+    assert len(sweeps) == 1
+    assert np.asarray(sweeps[0][2]).shape == (len(xpts) * len(tgrid), spec.d + 1)
+    assert report.all_pass
+
+
+def test_spacetime_sweep_matches_the_per_point_reference():
+    spec, net, tgrid, xpts = _spacetime_case()
+    c = _drift_growth_constant(spec.drift)
+    inputs = GrowthBoundInputs.from_steps(c, c, [(spec.T / spec.N) * np.eye(spec.d)] * spec.N,
+                                          spec.y)
+
+    def bound_pair(t, x):
+        n = min(max(int(np.searchsorted(spec.times(), t, side="right")) - 1, 0), spec.N - 1)
+        lo, hi = (gronwall_bound(inputs, float(np.linalg.norm(x)), k) for k in (n, n + 1))
+        return (spec.epsilon * (2.0 * math.sqrt(spec.d) + lo**3 + hi**3),
+                6.0 * math.sqrt(spec.d) + 2.0 * (lo**2 + hi**2))
+
+    report = BoundReport()
+    anncalc.verification._spacetime_config_checks(report, spec, tgrid, "st")
+    want = _per_point_ratios(net, spec, tgrid, xpts, bound_pair)
+    for row, value in zip(_ratio_rows(report, "st"), want):
+        assert row.measured == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert 0.0 < row.measured <= 1.0
+
+
+def test_scaling_report_sweep_matches_the_per_point_reference():
+    spec, net, _, _ = _spacetime_case(d=2, N=2, eps=1e-2)
+    growth_c = max(_drift_growth_constant(spec.drift), param_count(spec.drift) / 4.0)
+    bounds = scaling_bounds(growth_c, 2.0, spec.T, spec.d, spec.N, spec.epsilon)
+    y_norm = float(np.linalg.norm(np.concatenate(spec.y)))
+
+    def bound_pair(t, x):
+        xn = float(np.linalg.norm(x))
+        return (bounds["error"] * (1.0 + xn**3 + y_norm**3),
+                bounds["growth"] * (1.0 + xn**2 + y_norm**2))
+
+    report = scaling_report(spec, growth_c, 2.0, "sc")
+    want = _per_point_ratios(net, spec, np.linspace(0.0, 1.0, 11), _x_points(2, 11), bound_pair)
+    for row, value in zip(_ratio_rows(report, "sc"), want):
+        assert row.measured == pytest.approx(value, rel=1e-12, abs=0.0)
+        assert 0.0 < row.measured <= 1.0
+
+
+@pytest.mark.parametrize("nan_in", ["error", "growth"])
+def test_a_nan_bound_fails_its_sweep_row(nan_in):
+    spec, net, tgrid, xpts = _spacetime_case(d=1, N=2)
+    bounds = {kind: np.full((len(xpts), len(tgrid)), 1e3) for kind in ("error", "growth")}
+    bounds[nan_in][3, 5] = math.nan
+    report = BoundReport()
+    _sweep_ratios(report, "s", net, spec, tgrid, xpts, bounds["error"], bounds["growth"])
+    for row, kind in zip(report.entries, ("error", "growth")):
+        assert row.name == f"s_{kind}_vs_bound_ratio"
+        assert math.isnan(row.measured) == (kind == nan_in)
+        assert row.passed == (kind != nan_in)
+    assert not report.all_pass
