@@ -235,14 +235,22 @@ def perturbed_iterates(
     return out
 
 
-def _drift_fn(spec: EulerSpec) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda v: realize(spec.drift, RELU, v)
+def _nodes_and_drifts(spec: EulerSpec, x) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The iterates Y_0 ... Y_N and the drift values mu(Y_0) ... mu(Y_{N-1})
+    that the recursion realizes on its way."""
+    drifts = []
+
+    def mu(v):
+        drifts.append(realize(spec.drift, RELU, v))
+        return drifts[-1]
+
+    matrices = [dt * np.eye(spec.d) for dt in np.diff(spec.times())]
+    return perturbed_iterates(mu, matrices, spec.y, x), drifts
 
 
 def euler_nodes(spec: EulerSpec, x) -> list[np.ndarray]:
     """Euler iterates Y_0 ... Y_N of the scheme at the grid nodes."""
-    matrices = [dt * np.eye(spec.d) for dt in np.diff(spec.times())]
-    return perturbed_iterates(_drift_fn(spec), matrices, spec.y, x)
+    return _nodes_and_drifts(spec, x)[0]
 
 
 def euler_oracle(spec: EulerSpec, t: float | np.ndarray, x) -> np.ndarray:
@@ -261,14 +269,13 @@ def euler_oracle(spec: EulerSpec, t: float | np.ndarray, x) -> np.ndarray:
     outside = ~((flat >= 0.0) & (flat <= times[-1]))
     if outside.any():
         raise DomainError(f"t={flat[np.argmax(outside)]} lies outside [0, {times[-1]}]")
-    nodes = euler_nodes(spec, x)
-    mu = _drift_fn(spec)
+    nodes, drifts = _nodes_and_drifts(spec, x)
     dts = np.diff(times)
     n = np.clip(np.searchsorted(times, flat, side="right") - 1, 0, spec.N - 1)
     # the path is linear on each interval: one slope per interval hit
     slopes = np.empty((spec.N, spec.d))
     for k in np.unique(n):
-        slopes[k] = dts[k] * mu(nodes[k]) + spec.y[k]
+        slopes[k] = dts[k] * drifts[k] + spec.y[k]
     lam = (flat - times[n]) / dts[n]
     path = np.array(nodes)[n] + lam[:, np.newaxis] * slopes[n]
     return path[0] if ts.ndim == 0 else path

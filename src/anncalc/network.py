@@ -7,13 +7,27 @@ under ReLU, the identity, or any other scalar activation.  All scalars are
 64-bit floats and every value is immutable, so structural identities can be
 checked by exact comparison.
 
-Weights are stored dense and row-major; that layout is the contract every
-operation and file works with, and this module is the only one that reads or
-builds it.  The algebra in ``ops`` goes through :meth:`Layer.after` (the
-fused layer of a composition) and :meth:`Layer.stack` (the block-diagonal
-layer of a parallelization).  Evaluation is free to differ: a layer decides
-from its own block plan whether it is evaluated block by block, one stacked
-product per block shape, or by the plain product (see :meth:`Layer.apply`).
+Weights are stored dense and row-major in memory; that layout is the
+contract every operation works with, and this module is the only one that
+reads or builds it.  The algebra in ``ops`` goes through
+:meth:`Layer.after` (the fused layer of a composition) and
+:meth:`Layer.stack` (the block-diagonal layer of a parallelization).
+Evaluation is free to differ: a layer decides from its own block plan
+whether it is evaluated block by block, one stacked product per block shape,
+or by the plain product (see :meth:`Layer.apply`).
+
+Files (``.ann.json``) are strict JSON in one coordinate-list layout: each
+layer stores its shape, the row and column of each stored weight in
+row-major order, the weight values, and the dense bias::
+
+    {"layout": "coo", "layers": [{"shape": [r, c], "rows": [...],
+     "cols": [...], "values": [...], "bias": [...]}, ...]}
+
+:func:`serialize` stores every weight that is nonzero or ``-0.0``, so a
+load gives back the same bytes.  :func:`deserialize` also reads the older
+dense layout, a document with no ``layout`` key whose layers are
+``{"weights": [[...]], "bias": [...]}``.  A COO layer may declare at most
+2**27 weight entries.
 """
 
 from __future__ import annotations
@@ -55,6 +69,12 @@ __all__ = [
 # plain product.
 _BLOCK_MIN_ENTRIES = 1 << 16
 _BLOCK_MAX_DENSITY = 8
+
+# A COO layer may declare at most 2**27 weight entries (1 GiB of float64),
+# so a short file cannot make the loader allocate more per layer.  The
+# largest layer of the d=4 space-time nets has 1.9M entries at N=16 and
+# 4.0M at N=64.
+_MAX_LAYER_ENTRIES = 1 << 27
 
 
 class ShapeError(ValueError):
@@ -353,15 +373,25 @@ def networks_equal(a: Network, b: Network) -> bool:
 
 
 def serialize(net: Network) -> bytes:
-    """Strict JSON document with row-major weights, full double precision.
+    """Strict JSON document in the COO layout, full double precision.
 
-    JSON has no NaN or infinity, so a layer holding one raises DomainError.
-    Layers are encoded one at a time, so the Python floats of only one layer
-    are alive at once.
+    Each layer lists its weights in row-major order that are nonzero or have
+    the sign bit set, so a ``-0.0`` comes back as ``-0.0``.  JSON has no NaN
+    or infinity, so a layer holding one raises DomainError.  Layers are
+    encoded one at a time, so the Python numbers of only one layer are alive
+    at once.
     """
-    chunks = [b'{"layers": [']
+    chunks = [b'{"layout": "coo", "layers": [']
     for k, layer in enumerate(net.layers):
-        doc = {"weights": layer.weights.tolist(), "bias": layer.bias.tolist()}
+        w = layer.weights
+        rows, cols = np.nonzero((w != 0.0) | np.signbit(w))
+        doc = {
+            "shape": list(w.shape),
+            "rows": rows.tolist(),
+            "cols": cols.tolist(),
+            "values": w[rows, cols].tolist(),
+            "bias": layer.bias.tolist(),
+        }
         try:
             text = json.dumps(doc, allow_nan=False)
         except ValueError as exc:
@@ -402,8 +432,71 @@ def _number_array(raw, name: str, spells_bool: bool = True) -> np.ndarray:
     return a
 
 
+def _index_array(raw, name: str, bound: int, spells_bool: bool) -> np.ndarray:
+    """``raw`` as an int64 array; ValueError unless it lists JSON integers in [0, bound)."""
+    a = np.array(raw)
+    if a.ndim != 1 or (a.size and a.dtype.kind not in "iu") or (spells_bool and _holds_bool(raw)):
+        raise ValueError(f"{name} must be a list of JSON integers")
+    if a.size and (a.min() < 0 or a.max() >= bound):
+        bad = a[(a < 0) | (a >= bound)][0]
+        raise ValueError(f"{name} index {bad} is out of range [0, {bound})")
+    return a.astype(np.int64)
+
+
+def _coo_layer(raw, inputs: int | None, spells_bool: bool) -> Layer:
+    """The layer of one COO entry, ValueError naming the rule it breaks.
+
+    ``inputs`` is the previous layer's output count, checked before the
+    weights are allocated, so a file of unchained layers cannot ask for
+    ``_MAX_LAYER_ENTRIES`` per layer.
+    """
+    keys = ("shape", "rows", "cols", "values", "bias")
+    missing = [key for key in keys if not isinstance(raw, dict) or key not in raw]
+    if missing:
+        raise ValueError("missing " + ", ".join(repr(key) for key in missing))
+    shape = raw["shape"]
+    if not (
+        isinstance(shape, list) and len(shape) == 2 and all(_is_int(n) and n > 0 for n in shape)
+    ):
+        raise ValueError("shape must be two positive JSON integers")
+    r, c = shape
+    if r * c > _MAX_LAYER_ENTRIES:
+        raise ValueError(
+            f"shape {shape} has {r} x {c} entries, more than the cap of {_MAX_LAYER_ENTRIES}"
+        )
+    if inputs is not None and c != inputs:
+        raise ValueError(f"expects {c} inputs but the layer before produces {inputs}")
+    # pop, so the parsed numbers of a layer go once it is converted
+    rows = _index_array(raw.pop("rows"), "rows", r, spells_bool)
+    cols = _index_array(raw.pop("cols"), "cols", c, spells_bool)
+    values = _number_array(raw.pop("values"), "values", spells_bool)
+    if values.ndim != 1 or not rows.size == cols.size == values.size:
+        raise ValueError(
+            f"rows, cols and values must be lists of one length, got {rows.size}, "
+            f"{cols.size} and shape {values.shape}"
+        )
+    flat = rows * c + cols
+    steps = np.diff(flat)
+    for bad, what in ((steps == 0, "is duplicated"), (steps < 0, "breaks row-major order")):
+        if bad.any():
+            m = int(np.argmax(bad)) + 1
+            raise ValueError(f"entry {m} at index ({rows[m]}, {cols[m]}) {what}")
+    weights = np.zeros((r, c))
+    weights.flat[flat] = values
+    return Layer(weights, _number_array(raw.pop("bias"), "bias", spells_bool))
+
+
+def _dense_layer(raw, spells_bool: bool) -> Layer:
+    """The layer of one dense entry, ValueError naming the rule it breaks."""
+    if not isinstance(raw, dict) or "weights" not in raw or "bias" not in raw:
+        raise ValueError("missing 'weights' or 'bias'")
+    # pop, so the parsed floats of a layer go once it is converted
+    weights = _number_array(raw.pop("weights"), "weights", spells_bool)
+    return Layer(weights, _number_array(raw.pop("bias"), "bias", spells_bool))
+
+
 def deserialize(data: bytes | str) -> Network:
-    """Parse a serialized network, reporting the offending layer on failure."""
+    """Parse a serialized network, COO or dense, reporting the offending layer on failure."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -411,10 +504,16 @@ def deserialize(data: bytes | str) -> Network:
             raise ParseError(f"not UTF-8 text: {exc}") from exc
     try:
         doc = json.loads(data, parse_constant=_reject_constant)
-    except json.JSONDecodeError as exc:
+    except ParseError:
+        raise
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer literal longer than int() converts
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "layers" not in doc:
         raise ParseError("document has no 'layers' field")
+    if "layout" in doc and doc["layout"] != "coo":
+        raise ParseError(f"unknown layout {doc['layout']!r}; the one layout is 'coo'")
+    coo = "layout" in doc
     raw_layers = doc["layers"]
     if not isinstance(raw_layers, list) or not raw_layers:
         raise ParseError("'layers' must be a non-empty list")
@@ -423,13 +522,12 @@ def deserialize(data: bytes | str) -> Network:
     spells_bool = "true" in data or "false" in data
     layers = []
     for k, raw in enumerate(raw_layers):
-        if not isinstance(raw, dict) or "weights" not in raw or "bias" not in raw:
-            raise ParseError(f"layer {k}: missing 'weights' or 'bias'")
         try:
-            # pop, so the parsed floats of a layer go once it is converted
-            weights = _number_array(raw.pop("weights"), "weights", spells_bool)
-            bias = _number_array(raw.pop("bias"), "bias", spells_bool)
-            layers.append(Layer(weights, bias))
+            if coo:
+                inputs = layers[-1].rows if layers else None
+                layers.append(_coo_layer(raw, inputs, spells_bool))
+            else:
+                layers.append(_dense_layer(raw, spells_bool))
         except (ShapeError, ValueError) as exc:
             raise ParseError(f"layer {k}: {exc}") from exc
     try:

@@ -163,16 +163,32 @@ def test_build_prints_wrote_line(tmp_path, capsys):
     assert capsys.readouterr().out == f"wrote {out}: dims=(1, 4, 1) P=13\n"
 
 
-@pytest.mark.parametrize("case", ["info_dir", "build_to_dir", "info_not_utf8", "scheme_not_utf8"])
+COO_LAYER = (
+    '{"layout": "coo", "layers": [{"shape": %s, "rows": %s, "cols": %s, "values": %s, '
+    '"bias": [0.0]}]}'
+)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["info_dir", "build_to_dir", "info_not_utf8", "scheme_not_utf8", "info_over_cap",
+     "eval_duplicate_index"],
+)
 def test_file_errors_are_error_lines(tmp_path, capsys, case):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b"\xff{}")
+    over_cap = tmp_path / "over_cap.ann.json"
+    over_cap.write_text(COO_LAYER % ("[1, 134217729]", "[]", "[]", "[]"))
+    duplicate = tmp_path / "duplicate.ann.json"
+    duplicate.write_text(COO_LAYER % ("[1, 2]", "[0, 0]", "[1, 1]", "[1.0, 2.0]"))
     argv = {
         "info_dir": ["info", tmp_path],
         "build_to_dir": ["build", "--kind", "identity", "-o", tmp_path],
         "info_not_utf8": ["info", bad],
         "scheme_not_utf8": ["build", "--kind", "spacetime", "--spec", bad,
                             "-o", tmp_path / "st.ann.json"],
+        "info_over_cap": ["info", over_cap],
+        "eval_duplicate_index": ["eval", duplicate, "--points", "0,0"],
     }[case]
     capsys.readouterr()
     assert run(*argv) == 1

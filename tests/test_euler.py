@@ -375,6 +375,23 @@ def test_euler_oracle_rejects_out_of_horizon(rng):
         euler_oracle(spec, np.zeros((2, 2)), np.zeros(2))
 
 
+def test_euler_oracle_realizes_the_drift_once_per_node(monkeypatch, rng):
+    spec = make_spec(rng, 2, 4, 2)
+    x = rng.standard_normal(2)
+    ts = np.linspace(0.0, spec.T, 9)
+    # the slope formula with the drift realized again at each node
+    nodes, times = euler_nodes(spec, x), spec.times()
+    want = []
+    for t in ts:
+        n = min(int(np.searchsorted(times, t, side="right")) - 1, spec.N - 1)
+        dt = times[n + 1] - times[n]
+        slope = dt * realize(spec.drift, RELU, nodes[n]) + spec.y[n]
+        want.append(nodes[n] + ((t - times[n]) / dt) * slope)
+    calls = spy(monkeypatch, anncalc.euler, "realize")
+    assert np.array_equal(euler_oracle(spec, ts, x), want)
+    assert len(calls) == spec.N
+
+
 def test_euler_oracle_array_t_equals_scalar_calls(rng):
     spec = make_spec(rng, 2, 3, 2)
     x = rng.standard_normal(2)

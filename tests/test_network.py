@@ -1,5 +1,7 @@
 """Core representation: validation, realization, counting, serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -26,7 +28,7 @@ from anncalc import (
     square_unit,
 )
 
-from conftest import check_block_plan, random_net
+from conftest import check_block_plan, random_net, same_bytes
 
 
 def brute_force_params(net):
@@ -324,6 +326,13 @@ def test_serialize_rejects_non_finite_scalars(bad):
         serialize(net)
 
 
+def test_deserialize_rejects_integer_literals_too_long_to_convert():
+    doc = '{"layers": [{"weights": [[%s]], "bias": [0.0]}]}' % ("1" * 5000)
+    # Python refuses to convert the literal with a plain ValueError
+    with pytest.raises(ParseError):
+        deserialize(doc)
+
+
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_deserialize_rejects_non_finite_tokens(token):
     doc = '{"layers": [{"weights": [[%s]], "bias": [0.0]}]}' % token
@@ -349,6 +358,132 @@ def test_serialize_round_trip_random_networks(shape, seed):
         )
     )
     assert networks_equal(net, deserialize(serialize(net)))
+
+
+def dense_serialize(net):
+    # independent writer of the dense layout that earlier versions wrote
+    layers = [{"weights": la.weights.tolist(), "bias": la.bias.tolist()} for la in net.layers]
+    return json.dumps({"layers": layers})
+
+
+@pytest.mark.parametrize(
+    "net", [identity_net(2), square_unit(2.0**-10)], ids=["identity", "square"]
+)
+def test_serialize_round_trip_keeps_raw_bytes(net):
+    assert same_bytes(net, deserialize(serialize(net)))
+
+
+# serialize(identity_net(2)) as the dense layout wrote it, kept verbatim
+DENSE_IDENTITY_2 = (
+    '{"layers": [{"weights": [[1.0, 0.0], [0.0, 1.0], [-1.0, -0.0], [-0.0, -1.0]], '
+    '"bias": [0.0, 0.0, 0.0, 0.0]}, {"weights": [[1.0, 0.0, -1.0, -0.0], '
+    '[0.0, 1.0, -0.0, -1.0]], "bias": [0.0, 0.0]}]}'
+)
+
+
+def test_deserialize_reads_the_dense_layout():
+    assert same_bytes(deserialize(DENSE_IDENTITY_2), identity_net(2))
+    assert same_bytes(deserialize(DENSE_IDENTITY_2.encode()), identity_net(2))
+
+
+@given(shapes, st.integers(0, 2**32 - 1))
+def test_dense_and_coo_files_load_to_the_same_bytes(shape, seed):
+    rng = np.random.default_rng(seed)
+
+    def draw(size):
+        # about a third zeros and a sixth negative zeros
+        a = rng.standard_normal(size)
+        u = rng.uniform(size=size)
+        return np.where(u < 1 / 3, 0.0, np.where(u < 1 / 2, -0.0, a))
+
+    net = Network(
+        tuple((draw((shape[k], shape[k - 1])), draw(shape[k])) for k in range(1, len(shape)))
+    )
+    coo = deserialize(serialize(net))
+    assert same_bytes(coo, deserialize(dense_serialize(net)))
+    assert same_bytes(coo, net)
+
+
+def coo_doc(**layer1):
+    """A valid two-layer COO document whose second layer takes ``layer1``'s
+    fields as JSON text; a field given as None is left out."""
+    fields = {
+        "shape": "[1, 2]", "rows": "[0, 0]", "cols": "[0, 1]", "values": "[3.0, 4.0]",
+        "bias": "[0.0]",
+    }
+    fields.update(layer1)
+    body = ", ".join(f'"{key}": {text}' for key, text in fields.items() if text is not None)
+    first = (
+        '{"shape": [2, 1], "rows": [0, 1], "cols": [0, 0], "values": [1.0, -2.0], '
+        '"bias": [0.0, 0.5]}'
+    )
+    return '{"layout": "coo", "layers": [%s, {%s}]}' % (first, body)
+
+
+def test_coo_doc_is_valid():
+    net = deserialize(coo_doc())
+    assert net.layers[0].weights.tolist() == [[1.0], [-2.0]]
+    assert net.layers[1].weights.tolist() == [[3.0, 4.0]]
+    assert deserialize(coo_doc(rows="[]", cols="[]", values="[]")).layers[1].weights.tolist() == [
+        [0.0, 0.0]
+    ]
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"shape": None}, "missing 'shape'"),
+        ({"rows": None}, "missing 'rows'"),
+        ({"cols": None}, "missing 'cols'"),
+        ({"values": None}, "missing 'values'"),
+        ({"bias": None}, "missing 'bias'"),
+        ({"shape": "[2]"}, "shape must be two positive JSON integers"),
+        ({"shape": "[1, 0]"}, "shape must be two positive JSON integers"),
+        ({"shape": "[1.0, 2]"}, "shape must be two positive JSON integers"),
+        ({"shape": "[true, 2]"}, "shape must be two positive JSON integers"),
+        ({"shape": '"1x2"'}, "shape must be two positive JSON integers"),
+        ({"shape": "[1, 134217729]"}, "more than the cap of 134217728"),
+        ({"shape": "[134217729, 2]"}, "more than the cap of 134217728"),
+        ({"shape": "[1, 3]"}, "expects 3 inputs but the layer before produces 2"),
+        ({"rows": "[0.0, 0]"}, "rows must be a list of JSON integers"),
+        ({"rows": "[true, 0]"}, "rows must be a list of JSON integers"),
+        ({"cols": "[0, false]"}, "cols must be a list of JSON integers"),
+        ({"cols": '["0", 1]'}, "cols must be a list of JSON integers"),
+        ({"rows": "0"}, "rows must be a list of JSON integers"),
+        ({"rows": "[[0], [0]]"}, "rows must be a list of JSON integers"),
+        ({"rows": "[0, 1]"}, r"rows index 1 is out of range \[0, 1\)"),
+        ({"cols": "[-1, 1]"}, r"cols index -1 is out of range \[0, 2\)"),
+        ({"cols": "[0, 18446744073709551616]"}, "cols must be a list of JSON integers"),
+        ({"cols": "[1, 1]"}, r"entry 1 at index \(0, 1\) is duplicated"),
+        ({"cols": "[1, 0]"}, r"entry 1 at index \(0, 0\) breaks row-major order"),
+        ({"rows": "[0]", "cols": "[0]"}, "of one length, got 1, 1 and shape"),
+        ({"cols": "[0]", "values": "[3.0]"}, "of one length, got 2, 1 and shape"),
+        ({"values": "[3.0]"}, "of one length, got 2, 2 and shape"),
+        ({"values": "[[3.0], [4.0]]"}, "of one length"),
+        ({"values": "[true, 4.0]"}, "values must hold only JSON numbers"),
+        ({"values": '[3.0, "4"]'}, "values must hold only JSON numbers"),
+        ({"values": "[3.0, null]"}, "values must hold only JSON numbers"),
+        ({"values": "[3.0, 1e999]"}, "values must hold only finite numbers"),
+        ({"bias": "[false]"}, "bias must hold only JSON numbers"),
+        ({"bias": "[0.0, 0.0]"}, "weight rows 1 != bias length 2"),
+    ],
+)
+def test_deserialize_names_the_broken_coo_rule(fields, message):
+    with pytest.raises(ParseError, match="^layer 1: .*" + message):
+        deserialize(coo_doc(**fields))
+
+
+def test_the_entry_cap_admits_its_own_size():
+    # the chain check runs after the cap and before any allocation
+    with pytest.raises(ParseError, match="expects 134217728 inputs"):
+        deserialize(coo_doc(shape="[1, 134217728]"))
+
+
+@pytest.mark.parametrize("layout", ['"dense"', '"csr"', "null", "1"])
+def test_deserialize_rejects_unknown_layouts(layout):
+    doc = coo_doc().replace('"coo"', layout)
+    with pytest.raises(ParseError, match="unknown layout"):
+        deserialize(doc)
 
 
 def test_custom_activation():
