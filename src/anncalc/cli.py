@@ -8,7 +8,6 @@ errors (argparse's convention).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -29,7 +28,8 @@ from .network import (
     ParseError,
     RELU,
     ShapeError,
-    _number_array,
+    _numbers,
+    _strict_json,
     dims,
     load_network,
     param_count,
@@ -51,24 +51,18 @@ _ACTIVATIONS = {"relu": RELU, "identity": IDENTITY}
 
 
 def _scheme_numbers(doc: dict, field: str, ndim: int) -> np.ndarray:
-    """A scheme file field under the number rules of network files."""
-    try:
-        a = _number_array(doc[field], field)
-    except ValueError as exc:
-        raise ParseError(f"scheme file field {field!r}: {exc}") from exc
+    """A scheme file field by the number rule, of ``ndim`` dimensions."""
+    what = f"scheme file field {field!r}"
+    a = _numbers(doc[field], what)
     if a.ndim != ndim:
         kind = "a number" if ndim == 0 else "a list of vectors"
-        raise ParseError(f"scheme file field {field!r} must be {kind}, got shape {a.shape}")
+        raise ParseError(f"{what} must be {kind}, got shape {a.shape}")
     return a
 
 
 def _load_euler_spec(path, eps=None, q=None) -> EulerSpec:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            # NaN and Infinity tokens parse here and are refused per field
-            doc = json.load(fh)
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ParseError(f"scheme file is not valid JSON: {exc}") from exc
+    with open(path, "rb") as fh:
+        _, doc = _strict_json(fh.read(), "scheme file")
     if not isinstance(doc, dict):
         raise ParseError("a scheme file must hold a JSON object")
     if not isinstance(doc["drift"], str):
@@ -120,8 +114,12 @@ def _cmd_build(args) -> int:
             net = spacetime_net(spec)
     else:  # pragma: no cover - argparse restricts choices
         raise DomainError(f"unknown kind {kind!r}")
-    save_network(net, args.output)
-    print(f"wrote {args.output}: dims={dims(net)} P={param_count(net)}")
+    return _save(net, args.output)
+
+
+def _save(net: Network, path) -> int:
+    save_network(net, path)
+    print(f"wrote {path}: dims={dims(net)} P={param_count(net)}")
     return 0
 
 
@@ -152,9 +150,7 @@ def _cmd_op(args) -> int:
         net = extend(args.L, relu_identity(nets[0].output_dim), nets[0])
     else:  # pragma: no cover
         raise DomainError(f"unknown operation {args.operation!r}")
-    save_network(net, args.output)
-    print(f"wrote {args.output}: dims={dims(net)} P={param_count(net)}")
-    return 0
+    return _save(net, args.output)
 
 
 def _parse_points(args, input_dim) -> np.ndarray:
@@ -182,13 +178,16 @@ def _cmd_eval(args) -> int:
     out = realize(net, act, pts)
     header = ",".join(f"out{k}" for k in range(out.shape[1]))
     lines = [header] + [",".join(repr(float(v)) for v in row) for row in out]
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
+    _write_text("\n".join(lines) + "\n", args.output)
+    return 0
+
+
+def _write_text(text: str, path) -> None:
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 0
 
 
 def _cmd_info(args) -> int:
@@ -222,11 +221,9 @@ def _cmd_verify(args) -> int:
         )
         _print_summary("all", report)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(report.to_csv())
+        _write_text(report.to_csv(), args.csv)
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(report.to_json())
+        _write_text(report.to_json(), args.json)
     return 0 if report.all_pass else 1
 
 
@@ -254,12 +251,7 @@ def _cmd_report(args) -> int:
                     f"{d},{N},{eps!r},{int(p.measured)},{p.bound!r},"
                     f"{err.measured!r},{gro.measured!r}"
                 )
-    text = "\n".join(rows) + "\n"
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_text("\n".join(rows) + "\n", args.output)
     if len(set(Ns)) > 1:
         for (d, eps), measured in counts.items():
             slope = float(np.polyfit(np.log(Ns), np.log(measured), 1)[0])

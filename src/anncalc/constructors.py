@@ -212,5 +212,10 @@ def hat_net(alpha: float, beta: float, gamma: float, h: float) -> Network:
     fall = gamma - beta
     w1 = np.array([[1.0 / rise], [1.0 / rise], [1.0 / fall], [1.0 / fall]])
     b1 = np.array([-alpha / rise, -beta / rise, -beta / fall, -gamma / fall])
+    if not (np.isfinite([rise, fall]).all() and np.isfinite(w1).all() and np.isfinite(b1).all()):
+        raise DomainError(
+            f"alpha, beta, gamma = ({alpha}, {beta}, {gamma}) overflow the hat: "
+            "beta - alpha, gamma - beta and every weight and bias must be finite"
+        )
     w2 = np.array([[h, -h, -h, h]])
     return Network((Layer(w1, b1), Layer(w2, np.zeros(1))))

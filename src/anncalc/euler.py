@@ -28,6 +28,8 @@ from .network import (
     ShapeError,
     _is_int,
     _is_real,
+    _frozen,
+    _numbers,
     affine,
     dims,
     param_count,
@@ -97,7 +99,7 @@ class EulerSpec:
             )
         _check_grid(self.T, self.N)
         ApproxSpec(self.epsilon, self.q)
-        y = tuple(np.array(v, dtype=np.float64) for v in self.y)
+        y = tuple(_frozen(v, 1, f"y[{k}]") for k, v in enumerate(self.y))
         if len(y) != self.N:
             raise ShapeError(f"need N={self.N} perturbation vectors, got {len(y)}")
         for k, v in enumerate(y):
@@ -105,7 +107,6 @@ class EulerSpec:
                 raise ShapeError(f"perturbation {k} has shape {v.shape}, expected ({self.d},)")
             if not np.isfinite(v).all():
                 raise DomainError(f"y: perturbation {k} must be finite, got {v.tolist()}")
-            v.setflags(write=False)
         object.__setattr__(self, "y", y)
 
     @property
@@ -245,7 +246,7 @@ def _nodes_and_drifts(spec: EulerSpec, x) -> tuple[list[np.ndarray], list[np.nda
         return drifts[-1]
 
     matrices = [dt * np.eye(spec.d) for dt in np.diff(spec.times())]
-    return perturbed_iterates(mu, matrices, spec.y, x), drifts
+    return perturbed_iterates(mu, matrices, spec.y, _numbers(x, "x")), drifts
 
 
 def euler_nodes(spec: EulerSpec, x) -> list[np.ndarray]:
@@ -262,7 +263,7 @@ def euler_oracle(spec: EulerSpec, t: float | np.ndarray, x) -> np.ndarray:
     (len(t), d), each bit-identical to the scalar call.
     """
     times = spec.times()
-    ts = np.asarray(t, dtype=np.float64)
+    ts = _numbers(t, "t")
     if ts.ndim > 1:
         raise ShapeError(f"t must be a scalar or a 1-d array, got shape {ts.shape}")
     flat = np.atleast_1d(ts)

@@ -16,9 +16,17 @@ Evaluation is free to differ: a layer decides from its own block plan
 whether it is evaluated block by block, one stacked product per block shape,
 or by the plain product (see :meth:`Layer.apply`).
 
-Files (``.ann.json``) are strict JSON in one coordinate-list layout: each
-layer stores its shape, the row and column of each stored weight in
-row-major order, the weight values, and the dense bias::
+Numbers from outside follow one rule, :func:`_numbers`: integers and floats
+only.  A bool, a string, None or an integer wider than 64 bits is a
+DomainError and a ragged list a ShapeError, for layer weights and biases,
+evaluation points, the numbers of network and scheme files, an Euler
+scheme's perturbations and the points of its oracle.
+
+Files (``.ann.json``) are read, like scheme files, by one strict JSON front
+end: UTF-8 text without NaN or Infinity tokens, any failure a ParseError.
+They hold one coordinate-list layout: each layer stores its shape, the row
+and column of each stored weight in row-major order, the weight values, and
+the dense bias::
 
     {"layout": "coo", "layers": [{"shape": [r, c], "rows": [...],
      "cols": [...], "values": [...], "bias": [...]}, ...]}
@@ -99,34 +107,42 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
-def _floats(a: np.ndarray, values, what: str) -> np.ndarray:
-    """``a``, the array numpy made of ``values``, as float64; DomainError unless
-    ``values`` holds integers and floats only.  A list or tuple is walked for
-    bools, which numpy turns into numbers when they share it with numbers."""
+def _numbers(values, what: str) -> np.ndarray:
+    """``values`` as a float64 array, by the one rule for numbers from outside:
+    integers and floats only.  ShapeError if ``values`` is ragged, DomainError
+    if it holds a bool, a string, None, a complex number or an integer wider
+    than 64 bits.  numpy makes a bool among numbers 1.0 or 0.0, so a list or
+    tuple is walked for bools; an array is judged by its dtype."""
+    try:
+        a = np.asarray(values)
+    except ValueError as exc:
+        raise ShapeError(f"{what} must be rectangular: {exc}") from exc
     if a.dtype.kind in "iuf":
         if isinstance(values, np.ndarray) or not _holds_bool(values):
             return a.astype(np.float64, copy=False)
         got = "a bool"
     else:
-        # numpy keeps an integer it cannot hold in 64 bits as a Python object
-        objects = a.flat if a.dtype.kind == "O" else ()
+        # numpy keeps an integer it cannot hold in 64 bits, and any bool of
+        # an object array, as a Python object
+        objects = list(a.flat) if a.dtype.kind == "O" else []
         wide = [v for v in objects if _is_int(v) and not -(2**63) <= v < 2**64]
         got = f"{wide[0]}, an integer wider than 64 bits" if wide else f"dtype {a.dtype}"
+        got = "a bool" if _holds_bool(objects) else got
     raise DomainError(f"{what} must hold integers or floats, got {got}")
 
 
-def _frozen(values, ndim: int, what: str) -> np.ndarray:
-    """``values`` as a read-only C-ordered float64 array of ``ndim`` dimensions.
+def _holds_bool(raw) -> bool:
+    """True if ``raw``, a scalar or nested lists and tuples, holds a bool (numpy's too)."""
+    if isinstance(raw, (list, tuple)):
+        return any(_holds_bool(v) for v in raw)
+    if isinstance(raw, np.ndarray):
+        return raw.dtype.kind == "b"
+    return isinstance(raw, (bool, np.bool_))
 
-    Raises ShapeError on a ragged list or a wrong number of dimensions and
-    DomainError on anything but integers and floats (bools, strings, None,
-    integers wider than 64 bits).
-    """
-    try:
-        a = np.array(values, order="C")
-    except ValueError as exc:
-        raise ShapeError(f"{what} must be rectangular: {exc}") from exc
-    a = _floats(a, values, what)
+
+def _frozen(values, ndim: int, what: str) -> np.ndarray:
+    """``values`` by :func:`_numbers` as a read-only C-ordered copy of ``ndim`` dimensions."""
+    a = np.array(_numbers(values, what), order="C")
     if a.ndim != ndim:
         raise ShapeError(f"{what} must be {ndim}-d, got shape {a.shape}")
     a.setflags(write=False)
@@ -312,11 +328,7 @@ def param_count(net: Network) -> int:
 
 
 def _prepare_input(net: Network, x) -> tuple[np.ndarray, bool]:
-    try:
-        a = np.asarray(x)
-    except ValueError as exc:
-        raise ShapeError(f"input x must be a point or a rectangular batch: {exc}") from exc
-    x = _floats(a, x, "input x")
+    x = _numbers(x, "input x")
     single = x.ndim == 1
     z = x[np.newaxis, :] if single else x
     if z.ndim != 2 or z.shape[1] != net.input_dim:
@@ -407,35 +419,31 @@ def _reject_constant(token: str):
     raise ParseError(f"{token} is not a JSON number")
 
 
-def _holds_bool(raw) -> bool:
-    """True if ``raw``, a scalar or nested lists and tuples, holds a bool (numpy's too)."""
-    if isinstance(raw, (list, tuple)):
-        return any(_holds_bool(v) for v in raw)
-    if isinstance(raw, np.ndarray):
-        return raw.dtype.kind == "b"
-    return isinstance(raw, (bool, np.bool_))
+def _strict_json(data: bytes | str, what: str) -> tuple[str, object]:
+    """The text of ``data`` and its strict JSON document; ParseError naming
+    ``what`` unless it is UTF-8 text of valid JSON without NaN or Infinity."""
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+        return text, json.loads(text, parse_constant=_reject_constant)
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, a JSONDecodeError, a NaN or Infinity token,
+        # an integer literal longer than int() converts, or too deep a nesting
+        raise ParseError(f"{what} is not valid JSON: {exc}") from exc
 
 
-def _number_array(raw, name: str, spells_bool: bool = True) -> np.ndarray:
-    """``raw`` as an array; ValueError unless it holds finite JSON numbers only.
-
-    NaN, infinity and literals beyond the float range such as 1e999 (which
-    parse as infinity) fail one check of the converted array.
-    ``spells_bool=False`` skips the walk for bools, for callers that know
-    the text spells none.
-    """
-    a = np.array(raw)
-    if a.dtype.kind not in "fiu" or (spells_bool and _holds_bool(raw)):
-        raise ValueError(f"{name} must hold only JSON numbers (floats or 64-bit integers)")
+def _finite_floats(raw, what: str) -> np.ndarray:
+    """A list of a network file as a finite float64 array, by :func:`_numbers`
+    judging the array by its dtype (deserialize has boxed any bool)."""
+    a = _numbers(np.array(raw), what)
     if not np.isfinite(a).all():
-        raise ValueError(f"{name} must hold only finite numbers")
+        raise ValueError(f"{what} must hold only finite numbers")
     return a
 
 
-def _index_array(raw, name: str, bound: int, spells_bool: bool) -> np.ndarray:
+def _index_array(raw, name: str, bound: int) -> np.ndarray:
     """``raw`` as an int64 array; ValueError unless it lists JSON integers in [0, bound)."""
     a = np.array(raw)
-    if a.ndim != 1 or (a.size and a.dtype.kind not in "iu") or (spells_bool and _holds_bool(raw)):
+    if a.ndim != 1 or (a.size and a.dtype.kind not in "iu"):
         raise ValueError(f"{name} must be a list of JSON integers")
     if a.size and (a.min() < 0 or a.max() >= bound):
         bad = a[(a < 0) | (a >= bound)][0]
@@ -443,7 +451,7 @@ def _index_array(raw, name: str, bound: int, spells_bool: bool) -> np.ndarray:
     return a.astype(np.int64)
 
 
-def _coo_layer(raw, inputs: int | None, spells_bool: bool) -> Layer:
+def _coo_layer(raw, inputs: int | None) -> Layer:
     """The layer of one COO entry, ValueError naming the rule it breaks.
 
     ``inputs`` is the previous layer's output count, checked before the
@@ -467,9 +475,9 @@ def _coo_layer(raw, inputs: int | None, spells_bool: bool) -> Layer:
     if inputs is not None and c != inputs:
         raise ValueError(f"expects {c} inputs but the layer before produces {inputs}")
     # pop, so the parsed numbers of a layer go once it is converted
-    rows = _index_array(raw.pop("rows"), "rows", r, spells_bool)
-    cols = _index_array(raw.pop("cols"), "cols", c, spells_bool)
-    values = _number_array(raw.pop("values"), "values", spells_bool)
+    rows = _index_array(raw.pop("rows"), "rows", r)
+    cols = _index_array(raw.pop("cols"), "cols", c)
+    values = _finite_floats(raw.pop("values"), "values")
     if values.ndim != 1 or not rows.size == cols.size == values.size:
         raise ValueError(
             f"rows, cols and values must be lists of one length, got {rows.size}, "
@@ -483,32 +491,21 @@ def _coo_layer(raw, inputs: int | None, spells_bool: bool) -> Layer:
             raise ValueError(f"entry {m} at index ({rows[m]}, {cols[m]}) {what}")
     weights = np.zeros((r, c))
     weights.flat[flat] = values
-    return Layer(weights, _number_array(raw.pop("bias"), "bias", spells_bool))
+    return Layer(weights, _finite_floats(raw.pop("bias"), "bias"))
 
 
-def _dense_layer(raw, spells_bool: bool) -> Layer:
+def _dense_layer(raw) -> Layer:
     """The layer of one dense entry, ValueError naming the rule it breaks."""
     if not isinstance(raw, dict) or "weights" not in raw or "bias" not in raw:
         raise ValueError("missing 'weights' or 'bias'")
     # pop, so the parsed floats of a layer go once it is converted
-    weights = _number_array(raw.pop("weights"), "weights", spells_bool)
-    return Layer(weights, _number_array(raw.pop("bias"), "bias", spells_bool))
+    weights = _finite_floats(raw.pop("weights"), "weights")
+    return Layer(weights, _finite_floats(raw.pop("bias"), "bias"))
 
 
 def deserialize(data: bytes | str) -> Network:
     """Parse a serialized network, COO or dense, reporting the offending layer on failure."""
-    if isinstance(data, bytes):
-        try:
-            data = data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ParseError(f"not UTF-8 text: {exc}") from exc
-    try:
-        doc = json.loads(data, parse_constant=_reject_constant)
-    except ParseError:
-        raise
-    except ValueError as exc:
-        # a JSONDecodeError, or an integer literal longer than int() converts
-        raise ParseError(f"not valid JSON: {exc}") from exc
+    text, doc = _strict_json(data, "document")
     if not isinstance(doc, dict) or "layers" not in doc:
         raise ParseError("document has no 'layers' field")
     if "layout" in doc and doc["layout"] != "coo":
@@ -517,17 +514,20 @@ def deserialize(data: bytes | str) -> Network:
     raw_layers = doc["layers"]
     if not isinstance(raw_layers, list) or not raw_layers:
         raise ParseError("'layers' must be a non-empty list")
-    # numpy turns true/false into numbers when they share a list with
-    # numbers, so only a document that spells one needs the walk for bools
-    spells_bool = "true" in data or "false" in data
+    # numpy makes a bool among numbers 1.0 or 0.0, but walking every list
+    # costs more than the rest of the load, so only a document that spells
+    # a bool is walked; a field holding one becomes an object array
+    spells_bool = "true" in text or "false" in text
     layers = []
     for k, raw in enumerate(raw_layers):
         try:
+            if spells_bool and isinstance(raw, dict):
+                raw = {key: np.array(v, dtype=object) if _holds_bool(v) else v
+                       for key, v in raw.items()}
             if coo:
-                inputs = layers[-1].rows if layers else None
-                layers.append(_coo_layer(raw, inputs, spells_bool))
+                layers.append(_coo_layer(raw, layers[-1].rows if layers else None))
             else:
-                layers.append(_dense_layer(raw, spells_bool))
+                layers.append(_dense_layer(raw))
         except (ShapeError, ValueError) as exc:
             raise ParseError(f"layer {k}: {exc}") from exc
     try:

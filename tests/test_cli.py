@@ -220,15 +220,19 @@ def test_build_euler_kinds_from_spec_json(tmp_path, rng):
         ("[1.0, 2]", "JSON object"),
         ({"T": "x"}, "'T'"),
         ({"y": 5}, "'y'"),
-        ({"y": [[0.1, float("nan")], [0.0, 0.3]]}, "'y'"),
-        ({"y": [[0.1, 1e999], [0.0, 0.3]]}, "'y'"),
+        ({"y": [[0.1, float("nan")], [0.0, 0.3]]}, "NaN is not a JSON number"),
+        ({"y": [[0.1, 1e999], [0.0, 0.3]]}, "Infinity is not a JSON number"),
         ({"eps": True}, "'eps'"),
         ({"drift": 5}, "'drift'"),
         ({"N": 2.7}, "N must be a positive integer, got 2.7"),
         ({"N": True}, "N must be a positive integer, got True"),
+        # Python refuses to convert an integer literal this long
+        ('{"drift": "d.ann.json", "T": 1.0, "N": %s, "y": []}' % ("1" * 5000),
+         "scheme file is not valid JSON: Exceeds the limit"),
+        ("[" * 100_000, "scheme file is not valid JSON: maximum recursion depth"),
     ],
     ids=["invalid_json", "list_document", "T_string", "y_number", "y_nan", "y_overflow",
-         "eps_bool", "drift_number", "N_fraction", "N_bool"],
+         "eps_bool", "drift_number", "N_fraction", "N_bool", "N_5000_digits", "deep_nesting"],
 )
 def test_build_rejects_bad_scheme_file(tmp_path, rng, capsys, doc, names):
     drift_path = tmp_path / "drift.ann.json"
@@ -242,7 +246,7 @@ def test_build_rejects_bad_scheme_file(tmp_path, rng, capsys, doc, names):
     out = tmp_path / "xi.ann.json"
     assert run("build", "--kind", "spacetime", "--spec", spec_path, "-o", out) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and names in err
+    assert err.startswith("error: ") and names in err and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from anncalc import (
     ApproxSpec,
     DomainError,
+    EulerSpec,
     RELU,
     dims,
     forward_states,
@@ -19,6 +20,7 @@ from anncalc import (
     product_net,
     realize,
     scalar_vector_product,
+    spacetime_net,
     square_real,
     square_refinement_level,
     square_unit,
@@ -159,6 +161,26 @@ def test_hat_net_rejects_non_finite_arguments(name, value):
     args = {"alpha": 0.0, "beta": 1.0, "gamma": 2.0, "h": 1.0, name: value}
     with pytest.raises(DomainError, match=f"{name} must be a finite number, got {value!r}"):
         hat_net(**args)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: hat_net(-1e308, 1e308, 1.5e308, 1.0),  # beta - alpha is inf
+        lambda: hat_net(0.0, 5e-324, 1.0, 1.0),  # 1 / (beta - alpha) is inf
+        lambda: spacetime_net(EulerSpec(identity_net(1), 1e-310, 1, (np.zeros(1),))),
+    ],
+    ids=["gap", "slope", "spacetime_grid"],
+)
+def test_hat_net_refuses_overflowing_breakpoints(build):
+    with pytest.raises(DomainError, match=r"^alpha, beta, gamma = \(.*\) overflow the hat"):
+        build()
+
+
+def test_hat_net_keeps_the_widest_finite_gaps():
+    # beta - alpha and gamma - beta are finite though their sum is not
+    net = hat_net(-1e308, 0.0, 1e308, 1.0)
+    assert realize(net, RELU, [[0.0], [5e307], [-5e307]])[:, 0].tolist() == [1.0, 0.5, 0.5]
 
 
 # ---------------------------------------------------------------------------

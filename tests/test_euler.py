@@ -375,6 +375,30 @@ def test_euler_oracle_rejects_out_of_horizon(rng):
         euler_oracle(spec, np.zeros((2, 2)), np.zeros(2))
 
 
+@pytest.mark.parametrize(
+    "bad, got",
+    [(True, "dtype bool"), ("0.5", "dtype <U3"),
+     (2**70, "1180591620717411303424, an integer wider than 64 bits")],
+    ids=["bool", "string", "wide_int"],
+)
+@pytest.mark.parametrize(
+    "call, what",
+    [
+        (lambda spec, v: EulerSpec(spec.drift, 1.0, 1, ([v],)), "y[0]"),
+        (lambda spec, v: euler_oracle(spec, v, [0.5]), "t"),
+        (lambda spec, v: euler_oracle(spec, 0.5, [v]), "x"),
+        (lambda spec, v: euler_nodes(spec, [v]), "x"),
+    ],
+    ids=["EulerSpec_y", "euler_oracle_t", "euler_oracle_x", "euler_nodes_x"],
+)
+def test_euler_inputs_follow_the_number_rule(call, what, bad, got):
+    # numpy alone would read True as 1.0, "0.5" as 0.5 and 2**70 as a float
+    spec = EulerSpec(identity_net(1), 1.0, 1, (np.zeros(1),))
+    with pytest.raises(DomainError) as exc:
+        call(spec, bad)
+    assert str(exc.value) == f"{what} must hold integers or floats, got {got}"
+
+
 def test_euler_oracle_realizes_the_drift_once_per_node(monkeypatch, rng):
     spec = make_spec(rng, 2, 4, 2)
     x = rng.standard_normal(2)

@@ -1,6 +1,8 @@
 """Core representation: validation, realization, counting, serialization."""
 
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from anncalc import (
     IDENTITY,
     DomainError,
+    EulerSpec,
     Layer,
     Network,
     ParseError,
@@ -18,15 +21,18 @@ from anncalc import (
     affine,
     deserialize,
     dims,
+    euler_oracle,
     forward_states,
     hat_net,
     identity_net,
     networks_equal,
     param_count,
     realize,
+    save_network,
     serialize,
     square_unit,
 )
+from anncalc.cli import _load_euler_spec
 
 from conftest import check_block_plan, random_net, same_bytes
 
@@ -136,7 +142,7 @@ def test_evaluation_rejects_non_numeric_input(evaluate, bad):
 
 @pytest.mark.parametrize("evaluate", [realize, forward_states])
 def test_evaluation_rejects_ragged_input(evaluate):
-    with pytest.raises(ShapeError, match="input x must be a point or a rectangular batch"):
+    with pytest.raises(ShapeError, match="input x must be rectangular"):
         evaluate(identity_net(2), RELU, [[1, 2], [3]])
 
 
@@ -212,14 +218,49 @@ def test_layer_inputs_accept_integers_and_affine_needs_a_matrix():
         assert str(exc.value) == f"weight matrix must be 2-d, got shape {shape}"
 
 
+def plain(row):
+    # numpy scalars as the Python ones that JSON writes
+    return [v.item() if isinstance(v, np.generic) else v for v in row]
+
+
+def coo_values(row):
+    # a one-layer COO file whose two weights are ``row``
+    return deserialize(
+        '{"layout": "coo", "layers": [{"shape": [1, 2], "rows": [0, 0], "cols": [0, 1], '
+        '"values": %s, "bias": [0.0]}]}' % json.dumps(plain(row))
+    )
+
+
+def scheme_y(row):
+    # a one-step scheme file whose perturbation is ``row``
+    with tempfile.TemporaryDirectory() as tmp:
+        drift, scheme = os.path.join(tmp, "drift.ann.json"), os.path.join(tmp, "scheme.json")
+        save_network(identity_net(2), drift)
+        with open(scheme, "w") as fh:
+            json.dump({"drift": drift, "T": 1.0, "N": 1, "y": [plain(row)]}, fh)
+        return _load_euler_spec(scheme)
+
+
+_ONE_STEP = EulerSpec(identity_net(2), 1.0, 1, (np.zeros(2),))
+
 _BOOL_AMONG_NUMBERS = {
-    "Layer": (lambda row: Layer([row], [0.0]), "weight matrix"),
-    "Layer_bias": (lambda row: Layer([[1.0]] * len(row), row), "bias"),
-    "affine": (lambda row: affine([row]), "weight matrix"),
-    "Network": (lambda row: Network((((row,), (0.0,)),)), "weight matrix"),
-    "realize": (lambda row: realize(identity_net(2), RELU, row), "input x"),
-    "realize_batch": (lambda row: realize(identity_net(2), RELU, [[0.5, 1.0], row]), "input x"),
-    "forward_states": (lambda row: forward_states(identity_net(2), RELU, row), "input x"),
+    "Layer": (lambda row: Layer([row], [0.0]), DomainError, "weight matrix"),
+    "Layer_bias": (lambda row: Layer([[1.0]] * len(row), row), DomainError, "bias"),
+    "affine": (lambda row: affine([row]), DomainError, "weight matrix"),
+    "Network": (lambda row: Network((((row,), (0.0,)),)), DomainError, "weight matrix"),
+    "realize": (lambda row: realize(identity_net(2), RELU, row), DomainError, "input x"),
+    "realize_batch": (
+        lambda row: realize(identity_net(2), RELU, [[0.5, 1.0], row]), DomainError, "input x"
+    ),
+    "forward_states": (
+        lambda row: forward_states(identity_net(2), RELU, row), DomainError, "input x"
+    ),
+    "EulerSpec_y": (
+        lambda row: EulerSpec(identity_net(2), 1.0, 1, (row,)), DomainError, "y[0]"
+    ),
+    "euler_oracle_x": (lambda row: euler_oracle(_ONE_STEP, 0.5, row), DomainError, "x"),
+    "coo_values": (coo_values, ParseError, "layer 0: values"),
+    "scheme_y": (scheme_y, DomainError, "scheme file field 'y'"),
 }
 
 
@@ -230,8 +271,8 @@ _BOOL_AMONG_NUMBERS = {
 )
 def test_bools_among_numbers_are_refused(entry, row):
     # numpy alone would turn the bool into 1.0 or 0.0
-    build, what = _BOOL_AMONG_NUMBERS[entry]
-    with pytest.raises(DomainError) as exc:
+    build, error, what = _BOOL_AMONG_NUMBERS[entry]
+    with pytest.raises(error) as exc:
         build(row)
     assert str(exc.value) == f"{what} must hold integers or floats, got a bool"
 
@@ -268,7 +309,7 @@ def test_serialize_round_trip_square_net_realizes_identically():
 
 
 def test_deserialize_rejects_non_utf8_bytes():
-    with pytest.raises(ParseError, match="not UTF-8 text"):
+    with pytest.raises(ParseError, match="not valid JSON: 'utf-8' codec can't decode"):
         deserialize(b"\xff{}")
 
 
@@ -281,6 +322,8 @@ def test_deserialize_names_offending_layer():
 def test_deserialize_rejects_malformed_documents():
     with pytest.raises(ParseError):
         deserialize(b"not json")
+    with pytest.raises(ParseError, match="maximum recursion depth"):
+        deserialize(b"[" * 100_000)
     with pytest.raises(ParseError):
         deserialize(b"{}")
     with pytest.raises(ParseError):
@@ -460,11 +503,11 @@ def test_coo_doc_is_valid():
         ({"cols": "[0]", "values": "[3.0]"}, "of one length, got 2, 1 and shape"),
         ({"values": "[3.0]"}, "of one length, got 2, 2 and shape"),
         ({"values": "[[3.0], [4.0]]"}, "of one length"),
-        ({"values": "[true, 4.0]"}, "values must hold only JSON numbers"),
-        ({"values": '[3.0, "4"]'}, "values must hold only JSON numbers"),
-        ({"values": "[3.0, null]"}, "values must hold only JSON numbers"),
+        ({"values": "[true, 4.0]"}, "values must hold integers or floats, got a bool"),
+        ({"values": '[3.0, "4"]'}, "values must hold integers or floats, got dtype <U32"),
+        ({"values": "[3.0, null]"}, "values must hold integers or floats, got dtype object"),
         ({"values": "[3.0, 1e999]"}, "values must hold only finite numbers"),
-        ({"bias": "[false]"}, "bias must hold only JSON numbers"),
+        ({"bias": "[false]"}, "bias must hold integers or floats, got a bool"),
         ({"bias": "[0.0, 0.0]"}, "weight rows 1 != bias length 2"),
     ],
 )
