@@ -19,7 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import DomainError, Layer, Network, ShapeError, _is_int, _is_real, affine
+from .network import (
+    DomainError, Layer, Network, ShapeError, _is_int, _is_real, _numbers, affine,
+)
 from .ops import compose, parallel_equal
 
 __all__ = [
@@ -65,7 +67,7 @@ def tent_g(n: int, x) -> np.ndarray | float:
     """
     if not _is_int(n) or n < 1:
         raise DomainError(f"tent_g needs an integer n >= 1, got {n!r}")
-    x = np.asarray(x, dtype=np.float64)
+    x = _numbers(x, "x")
     u = np.ldexp(np.clip(x, 0.0, 1.0), n)
     m = np.clip(np.floor(u), 0.0, 2.0**n - 1.0)
     even = np.mod(m, 2.0) == 0.0
@@ -82,7 +84,7 @@ def tent_f(n: int, x) -> np.ndarray | float:
     """
     if not _is_int(n) or n < 0:
         raise DomainError(f"tent_f needs an integer n >= 0, got {n!r}")
-    x = np.asarray(x, dtype=np.float64)
+    x = _numbers(x, "x")
     if np.any((x < 0.0) | (x > 1.0)):
         raise DomainError("tent_f is defined on [0, 1] only")
     k = np.clip(np.floor(np.ldexp(x, n)), 0.0, 2.0**n - 1.0)

@@ -99,7 +99,13 @@ class EulerSpec:
             )
         _check_grid(self.T, self.N)
         ApproxSpec(self.epsilon, self.q)
-        y = tuple(_frozen(v, 1, f"y[{k}]") for k, v in enumerate(self.y))
+        try:
+            y = list(self.y)
+        except TypeError as exc:
+            raise ShapeError(
+                f"y must be a sequence of perturbation vectors, got {self.y!r}"
+            ) from exc
+        y = tuple(_frozen(v, 1, f"y[{k}]") for k, v in enumerate(y))
         if len(y) != self.N:
             raise ShapeError(f"need N={self.N} perturbation vectors, got {len(y)}")
         for k, v in enumerate(y):
@@ -362,13 +368,15 @@ class GrowthBoundInputs:
 
     @classmethod
     def from_steps(cls, C, c, matrices, y) -> "GrowthBoundInputs":
-        norms = tuple(float(np.linalg.norm(a, ord=2)) for a in matrices)
+        norms = tuple(
+            float(np.linalg.norm(_numbers(a, f"matrices[{k}]"), ord=2))
+            for k, a in enumerate(matrices)
+        )
         maxima = [0.0]
-        if len(y):
-            partial = np.zeros_like(np.asarray(y[0], dtype=np.float64))
-            for v in y:
-                partial = partial + np.asarray(v, dtype=np.float64)
-                maxima.append(max(maxima[-1], float(np.linalg.norm(partial))))
+        partial = 0.0
+        for k, v in enumerate(y):
+            partial = partial + _numbers(v, f"y[{k}]")
+            maxima.append(max(maxima[-1], float(np.linalg.norm(partial))))
         return cls(float(C), float(c), norms, tuple(maxima))
 
 

@@ -7,14 +7,15 @@ under ReLU, the identity, or any other scalar activation.  All scalars are
 64-bit floats and every value is immutable, so structural identities can be
 checked by exact comparison.
 
-Weights are stored dense and row-major in memory; that layout is the
-contract every operation works with, and this module is the only one that
-reads or builds it.  The algebra in ``ops`` goes through
-:meth:`Layer.after` (the fused layer of a composition) and
-:meth:`Layer.stack` (the block-diagonal layer of a parallelization).
-Evaluation is free to differ: a layer decides from its own block plan
-whether it is evaluated block by block, one stacked product per block shape,
-or by the plain product (see :meth:`Layer.apply`).
+This module is the only one that knows how a layer is stored.  A
+:class:`Layer` is born dense (``Layer(W, b)``, or :meth:`Layer.after`, the
+fused layer of a composition), as a stack (:meth:`Layer.stack`, the
+block-diagonal layer of a parallelization, which keeps its parts), or as
+the entries of a COO file layer.  Only the dense form holds its matrix;
+``layer.weights``, the read-only row-major matrix every check compares bit
+for bit, is filled on first use.  A large sparse layer is evaluated from a
+block plan built from its entries, so it need never fill it (see
+:meth:`Layer.apply`).
 
 Numbers from outside follow one rule, :func:`_numbers`: integers and floats
 only.  A bool, a string, None or an integer wider than 64 bits is a
@@ -25,17 +26,15 @@ scheme's perturbations and the points of its oracle.
 Files (``.ann.json``) are read, like scheme files, by one strict JSON front
 end: UTF-8 text without NaN or Infinity tokens, any failure a ParseError.
 They hold one coordinate-list layout: each layer stores its shape, the row
-and column of each stored weight in row-major order, the weight values, and
-the dense bias::
+and column of each weight that is nonzero or ``-0.0`` in row-major order,
+those weights, and the dense bias, so a load gives back the same bytes::
 
     {"layout": "coo", "layers": [{"shape": [r, c], "rows": [...],
      "cols": [...], "values": [...], "bias": [...]}, ...]}
 
-:func:`serialize` stores every weight that is nonzero or ``-0.0``, so a
-load gives back the same bytes.  :func:`deserialize` also reads the older
-dense layout, a document with no ``layout`` key whose layers are
-``{"weights": [[...]], "bias": [...]}``.  A COO layer may declare at most
-2**27 weight entries.
+:func:`deserialize` also reads the older dense layout, a document with no
+``layout`` key whose layers are ``{"weights": [[...]], "bias": [...]}``.
+A COO layer may declare at most 2**27 weight entries.
 """
 
 from __future__ import annotations
@@ -79,9 +78,9 @@ _BLOCK_MIN_ENTRIES = 1 << 16
 _BLOCK_MAX_DENSITY = 8
 
 # A COO layer may declare at most 2**27 weight entries (1 GiB of float64),
-# so a short file cannot make the loader allocate more per layer.  The
-# largest layer of the d=4 space-time nets has 1.9M entries at N=16 and
-# 4.0M at N=64.
+# so a short file cannot ask for a larger dense matrix when a check reads
+# one.  The largest layer of the d=4 space-time nets has 1.9M entries at
+# N=16, 4.0M at N=64 and 8.0M at N=128.
 _MAX_LAYER_ENTRIES = 1 << 27
 
 
@@ -107,16 +106,21 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def _array(values, what: str) -> np.ndarray:
+    """``values`` as an array; ShapeError if it is ragged."""
+    try:
+        return np.asarray(values)
+    except ValueError as exc:
+        raise ShapeError(f"{what} must be rectangular: {exc}") from exc
+
+
 def _numbers(values, what: str) -> np.ndarray:
     """``values`` as a float64 array, by the one rule for numbers from outside:
     integers and floats only.  ShapeError if ``values`` is ragged, DomainError
     if it holds a bool, a string, None, a complex number or an integer wider
     than 64 bits.  numpy makes a bool among numbers 1.0 or 0.0, so a list or
     tuple is walked for bools; an array is judged by its dtype."""
-    try:
-        a = np.asarray(values)
-    except ValueError as exc:
-        raise ShapeError(f"{what} must be rectangular: {exc}") from exc
+    a = _array(values, what)
     if a.dtype.kind in "iuf":
         if isinstance(values, np.ndarray) or not _holds_bool(values):
             return a.astype(np.float64, copy=False)
@@ -149,60 +153,101 @@ def _frozen(values, ndim: int, what: str) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True, eq=False)
+def _checked_bias(bias, rows: int) -> np.ndarray:
+    """``bias`` by :func:`_frozen` as a 1-d array; ShapeError unless it has ``rows`` entries."""
+    b = _frozen(bias, 1, "bias")
+    if b.shape[0] != rows:
+        raise ShapeError(f"weight rows {rows} != bias length {b.shape[0]}")
+    return b
+
+
 class Layer:
-    """One affine map ``x -> W x + b`` with ``W`` of shape (rows, cols)."""
+    """One affine map ``x -> W x + b`` with ``W`` of shape (rows, cols), born
+    dense, as a stack or as COO entries (see the module docstring).  Layers
+    are immutable and compare by identity."""
 
-    weights: np.ndarray
-    bias: np.ndarray
+    def __init__(self, weights, bias):
+        w = _frozen(weights, 2, "weight matrix")
+        b = _checked_bias(bias, w.shape[0])
+        if min(w.shape) < 1:
+            raise ShapeError(f"layer dimensions must be positive, got {w.shape}")
+        self.__dict__.update(rows=w.shape[0], cols=w.shape[1], bias=b, weights=w)
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", _frozen(self.weights, 2, "weight matrix"))
-        object.__setattr__(self, "bias", _frozen(self.bias, 1, "bias"))
-        if self.weights.shape[0] != self.bias.shape[0]:
-            raise ShapeError(
-                f"weight rows {self.weights.shape[0]} != bias length {self.bias.shape[0]}"
-            )
-        if min(self.weights.shape) < 1:
-            raise ShapeError(f"layer dimensions must be positive, got {self.weights.shape}")
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, bias: np.ndarray, **form) -> Layer:
+        """A layer of fresh, consistent arrays, kept without a copy: ``form`` is
+        ``weights=`` a read-only matrix, ``_parts=`` or ``_entries=``."""
+        layer = cls.__new__(cls)
+        bias.setflags(write=False)
+        layer.__dict__.update(rows=rows, cols=cols, bias=bias, **form)
+        return layer
 
-    @property
-    def rows(self) -> int:
-        return self.weights.shape[0]
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"a Layer is immutable: cannot set or delete {name!r}")
 
-    @property
-    def cols(self) -> int:
-        return self.weights.shape[1]
+    __delattr__ = __setattr__
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The dense matrix; a stack copies in its parts', an entries layer scatters its entries."""
+        w = np.zeros((self.rows, self.cols))
+        if "_parts" in self.__dict__:
+            r = c = 0
+            for part in self._parts:
+                w[r : r + part.rows, c : c + part.cols] = part.weights
+                r, c = r + part.rows, c + part.cols
+        else:
+            rows, cols, values = self._entries
+            w[rows, cols] = values
+        w.setflags(write=False)
+        return w
+
+    @cached_property
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, values) of every weight that is nonzero or ``-0.0``,
+        in row-major order.  A dense layer, or a stack too small for a block
+        plan, scans its matrix; a larger stack joins its parts' entries."""
+        if "_parts" not in self.__dict__ or self.rows * self.cols < _BLOCK_MIN_ENTRIES:
+            w = self.weights
+            rows, cols = np.nonzero((w != 0.0) | np.signbit(w))
+            return rows, cols, w[rows, cols]
+        rows, cols, values = zip(*(p._entries for p in self._parts))
+        r0, c0 = np.cumsum([(0, 0)] + [(p.rows, p.cols) for p in self._parts], axis=0).T
+        return (np.concatenate([r + k for r, k in zip(rows, r0)]),
+                np.concatenate([c + k for c, k in zip(cols, c0)]), np.concatenate(values))
 
     def after(self, other: Layer) -> Layer:
         """This map after ``other`` = (V, c) as one layer (W V, W c + b), as composition fuses."""
-        return Layer(self.weights @ other.weights, self.weights @ other.bias + self.bias)
+        w = self.weights
+        fused = w @ other.weights
+        fused.setflags(write=False)
+        return Layer._trusted(*fused.shape, w @ other.bias + self.bias, weights=fused)
 
     @staticmethod
     def stack(layers: Sequence[Layer]) -> Layer:
         """The block-diagonal layer: each layer maps its own slice of the input, in order."""
-        weights = np.zeros((sum(p.rows for p in layers), sum(p.cols for p in layers)))
-        r = c = 0
-        for layer in layers:
-            weights[r : r + layer.rows, c : c + layer.cols] = layer.weights
-            r, c = r + layer.rows, c + layer.cols
-        return Layer(weights, np.concatenate([layer.bias for layer in layers]))
+        parts = tuple(layers)
+        rows, cols = sum(p.rows for p in parts), sum(p.cols for p in parts)
+        return Layer._trusted(rows, cols, np.concatenate([p.bias for p in parts]), _parts=parts)
 
     def apply(self, z: np.ndarray) -> np.ndarray:
         """The affine map on a batch: ``z @ W.T + b`` for ``z`` of shape (n, cols).
 
         A layer with a block plan is evaluated from it: one stacked product
-        per block shape, added into the bias-filled output rows, so a row in
-        no block gets the bias alone.  Its result equals the dense product
-        up to summation order.  Every other layer computes exactly
-        ``z @ W.T + b``.
+        per block shape plus the bias of its rows, written into a
+        bias-filled output, so a row in no block gets the bias alone.  Its
+        result equals the dense product up to summation order.  Every other
+        layer computes exactly ``z @ W.T + b``.
         """
-        if self._block_plan is None:
+        if self.rows * self.cols < _BLOCK_MIN_ENTRIES or self._block_plan is None:
             return z @ self.weights.T + self.bias
         zt = np.ascontiguousarray(z.T)
         out = np.repeat(self.bias[:, np.newaxis], zt.shape[1], axis=1)
         for row_ids, col_ids, blocks in self._block_plan:
-            out[row_ids.ravel()] += (blocks @ zt[col_ids]).reshape(row_ids.size, -1)
+            # no row is in two blocks, so each block row is written once
+            prod = blocks @ zt[col_ids]
+            prod += self.bias[row_ids][:, :, np.newaxis]
+            out[row_ids.ravel()] = prod.reshape(row_ids.size, -1)
         return out.T
 
     @cached_property
@@ -214,25 +259,25 @@ class Layer:
         column j wherever W[i, j] != 0, so no row or column is in two blocks
         and a row in none is all-zero.  One group per block shape (a, b):
         (G, a) row ids, (G, b) column ids, each ascending, and the (G, a, b)
-        stacked weights.
+        stacked weights, filled from :attr:`_entries`.
         """
-        w = self.weights
-        if w.size < _BLOCK_MIN_ENTRIES:
+        R, C = self.rows, self.cols
+        if R * C < _BLOCK_MIN_ENTRIES:
             return None
-        flat = np.flatnonzero(w != 0.0)
-        if flat.size * _BLOCK_MAX_DENSITY > w.size:
+        rows, cols, values = self._entries
+        nonzero = values != 0.0
+        edge_rows, edge_cols = rows[nonzero], cols[nonzero] + R
+        if edge_rows.size * _BLOCK_MAX_DENSITY > R * C:
             return None
-        rows, cols = np.divmod(flat, w.shape[1])
-        cols += w.shape[0]
         # min-label propagation over rows 0..R-1 and columns R..R+C-1, with
         # pointer jumping: at the fixed point every node is labelled with the
         # least node, a row, of its component
-        label = np.arange(sum(w.shape))
+        label = np.arange(R + C)
         while True:
-            low = np.minimum(label[rows], label[cols])
+            low = np.minimum(label[edge_rows], label[edge_cols])
             new = label.copy()
-            np.minimum.at(new, rows, low)
-            np.minimum.at(new, cols, low)
+            np.minimum.at(new, edge_rows, low)
+            np.minimum.at(new, edge_cols, low)
             new = new[new]
             if np.array_equal(new, label):
                 break
@@ -240,20 +285,23 @@ class Layer:
         # components by label, ids ascending within each; a row or column
         # without nonzeros is a component of its own, of width or height 0
         nodes = np.argsort(label, kind="stable")
-        row_nodes = nodes[nodes < w.shape[0]]
-        col_nodes = nodes[nodes >= w.shape[0]] - w.shape[0]
-        heights = np.bincount(label[: w.shape[0]], minlength=w.shape[0])
-        widths = np.bincount(label[w.shape[0] :], minlength=label.size)[: w.shape[0]]
+        row_nodes = nodes[nodes < R]
+        col_nodes = nodes[nodes >= R]
+        heights = np.bincount(label[:R], minlength=R)
+        widths = np.bincount(label[R:], minlength=label.size)[:R]
         row_starts = np.cumsum(heights) - heights
         col_starts = np.cumsum(widths) - widths
         is_block = widths > 0
+        keys = rows * C + cols
         groups = []
         for a, b in sorted(set(zip(heights[is_block].tolist(), widths[is_block].tolist()))):
             of_shape = np.flatnonzero((heights == a) & (widths == b))
             row_ids = row_nodes[row_starts[of_shape, np.newaxis] + np.arange(a)]
-            col_ids = col_nodes[col_starts[of_shape, np.newaxis] + np.arange(b)]
-            blocks = w[row_ids[:, :, np.newaxis], col_ids[:, np.newaxis, :]]
-            groups.append((row_ids, col_ids, blocks))
+            col_ids = col_nodes[col_starts[of_shape, np.newaxis] + np.arange(b)] - R
+            # the matrix at each block cell, looked up among the row-major entries
+            at = row_ids[:, :, np.newaxis] * C + col_ids[:, np.newaxis, :]
+            pos = np.minimum(np.searchsorted(keys, at), keys.size - 1)
+            groups.append((row_ids, col_ids, np.where(keys[pos] == at, values[pos], 0.0)))
         return tuple(groups)
 
 
@@ -395,15 +443,9 @@ def serialize(net: Network) -> bytes:
     """
     chunks = [b'{"layout": "coo", "layers": [']
     for k, layer in enumerate(net.layers):
-        w = layer.weights
-        rows, cols = np.nonzero((w != 0.0) | np.signbit(w))
-        doc = {
-            "shape": list(w.shape),
-            "rows": rows.tolist(),
-            "cols": cols.tolist(),
-            "values": w[rows, cols].tolist(),
-            "bias": layer.bias.tolist(),
-        }
+        rows, cols, values = layer._entries
+        doc = {"shape": [layer.rows, layer.cols], "rows": rows.tolist(), "cols": cols.tolist(),
+               "values": values.tolist(), "bias": layer.bias.tolist()}
         try:
             text = json.dumps(doc, allow_nan=False)
         except ValueError as exc:
@@ -434,7 +476,7 @@ def _strict_json(data: bytes | str, what: str) -> tuple[str, object]:
 def _finite_floats(raw, what: str) -> np.ndarray:
     """A list of a network file as a finite float64 array, by :func:`_numbers`
     judging the array by its dtype (deserialize has boxed any bool)."""
-    a = _numbers(np.array(raw), what)
+    a = _numbers(_array(raw, what), what)
     if not np.isfinite(a).all():
         raise ValueError(f"{what} must hold only finite numbers")
     return a
@@ -442,7 +484,7 @@ def _finite_floats(raw, what: str) -> np.ndarray:
 
 def _index_array(raw, name: str, bound: int) -> np.ndarray:
     """``raw`` as an int64 array; ValueError unless it lists JSON integers in [0, bound)."""
-    a = np.array(raw)
+    a = _array(raw, name)
     if a.ndim != 1 or (a.size and a.dtype.kind not in "iu"):
         raise ValueError(f"{name} must be a list of JSON integers")
     if a.size and (a.min() < 0 or a.max() >= bound):
@@ -452,12 +494,8 @@ def _index_array(raw, name: str, bound: int) -> np.ndarray:
 
 
 def _coo_layer(raw, inputs: int | None) -> Layer:
-    """The layer of one COO entry, ValueError naming the rule it breaks.
-
-    ``inputs`` is the previous layer's output count, checked before the
-    weights are allocated, so a file of unchained layers cannot ask for
-    ``_MAX_LAYER_ENTRIES`` per layer.
-    """
+    """The layer of one COO entry, kept as its entries; ValueError naming
+    the rule it breaks.  ``inputs`` is the previous layer's output count."""
     keys = ("shape", "rows", "cols", "values", "bias")
     missing = [key for key in keys if not isinstance(raw, dict) or key not in raw]
     if missing:
@@ -489,9 +527,10 @@ def _coo_layer(raw, inputs: int | None) -> Layer:
         if bad.any():
             m = int(np.argmax(bad)) + 1
             raise ValueError(f"entry {m} at index ({rows[m]}, {cols[m]}) {what}")
-    weights = np.zeros((r, c))
-    weights.flat[flat] = values
-    return Layer(weights, _finite_floats(raw.pop("bias"), "bias"))
+    kept = (values != 0.0) | np.signbit(values)  # an explicit +0.0 is no entry
+    rows, cols, values = rows[kept], cols[kept], values[kept]
+    bias = _checked_bias(_finite_floats(raw.pop("bias"), "bias"), r)
+    return Layer._trusted(r, c, bias, _entries=(rows, cols, values))
 
 
 def _dense_layer(raw) -> Layer:

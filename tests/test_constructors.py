@@ -121,6 +121,18 @@ def test_tent_f_domain_error():
         tent_f(2, 1.5)
 
 
+@pytest.mark.parametrize("tent", [tent_g, tent_f])
+@pytest.mark.parametrize(
+    "x, got", [("0.25", "dtype <U4"), (True, "dtype bool"), ([True, 0.25], "a bool")],
+    ids=["string", "bool", "bool_among_floats"],
+)
+def test_tents_take_numbers_only(tent, x, got):
+    # numpy alone would read "0.25" as 0.25 and True as 1.0
+    with pytest.raises(DomainError) as exc:
+        tent(1, x)
+    assert str(exc.value) == f"x must hold integers or floats, got {got}"
+
+
 # ---------------------------------------------------------------------------
 # identity and hat nets
 

@@ -1,6 +1,7 @@
 """Euler-scheme networks: exact representation, oracles, a priori bounds."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -485,6 +486,23 @@ def test_growth_bound_inputs_reject_nan(C, c, norms, match):
 def test_gronwall_bound_rejects_bad_inputs(args, x_norm, match):
     with pytest.raises(DomainError, match=match):
         gronwall_bound(GrowthBoundInputs(*args), x_norm, 1)
+
+
+@pytest.mark.parametrize(
+    "matrices, y, what",
+    [([np.eye(1)], [[True]], "y[0]"), ([np.eye(1)], [[0.5], ["1"]], "y[1]"),
+     ([[[True]]], [[0.5]], "matrices[0]")],
+    ids=["bool_y", "string_y", "bool_matrix"],
+)
+def test_growth_bound_inputs_from_steps_take_numbers_only(matrices, y, what):
+    with pytest.raises(DomainError, match=rf"^{re.escape(what)} must hold integers or floats"):
+        GrowthBoundInputs.from_steps(1.0, 1.0, matrices, y)
+
+
+@pytest.mark.parametrize("y", [5, 1.0, None, np.float64(0.5)])
+def test_euler_spec_refuses_a_y_that_is_not_a_sequence(y):
+    with pytest.raises(ShapeError, match="^y must be a sequence of perturbation vectors"):
+        EulerSpec(identity_net(1), 1.0, 1, y)
 
 
 def test_growth_bound_inputs_need_one_more_maximum_than_steps():

@@ -3,6 +3,8 @@
 import json
 import os
 import tempfile
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from anncalc import (
     realize,
     save_network,
     serialize,
+    spacetime_net,
     square_unit,
 )
 from anncalc.cli import _load_euler_spec
@@ -340,6 +343,20 @@ def test_deserialize_rejects_malformed_documents():
 
 
 @pytest.mark.parametrize(
+    "layer, what",
+    [
+        ('{"weights": [[1.0], [0.5, 1.0]], "bias": [0.0, 0.0]}', "weights"),
+        ('{"weights": [[1.0], [0.5]], "bias": [[0.0], [0.0, 1.0]]}', "bias"),
+    ],
+    ids=["weights", "bias"],
+)
+def test_deserialize_names_a_ragged_list(layer, what):
+    with pytest.raises(ParseError) as exc:
+        deserialize('{"layers": [%s]}' % layer)
+    assert str(exc.value).startswith(f"layer 0: {what} must be rectangular: ")
+
+
+@pytest.mark.parametrize(
     "weights, bias",
     [
         ("[[true, false]]", '["1"]'),  # bool-only and string arrays
@@ -445,6 +462,37 @@ def test_dense_and_coo_files_load_to_the_same_bytes(shape, seed):
     coo = deserialize(serialize(net))
     assert same_bytes(coo, deserialize(dense_serialize(net)))
     assert same_bytes(coo, net)
+
+
+def test_explicit_positive_zeros_in_a_coo_file_are_no_entries():
+    coo = deserialize(
+        '{"layout": "coo", "layers": [{"shape": [2, 3], "rows": [0, 0, 1, 1], '
+        '"cols": [0, 2, 1, 2], "values": [0.0, 1.5, -0.0, 0.0], "bias": [0.0, 1.0]}]}'
+    )
+    dense = deserialize(
+        '{"layers": [{"weights": [[0.0, 0.0, 1.5], [0.0, -0.0, 0.0]], "bias": [0.0, 1.0]}]}'
+    )
+    assert serialize(coo) == serialize(dense)
+    assert b'"rows": [0, 1], "cols": [2, 1], "values": [1.5, -0.0]' in serialize(coo)
+    assert same_bytes(coo, dense)
+
+
+def test_chained_all_zero_coo_layers_allocate_no_matrices():
+    # ten 2048 x 2048 layers would be 320 MiB of dense float64
+    layer = '{"shape": [2048, 2048], "rows": [], "cols": [], "values": [], "bias": [%s]}' % (
+        ", ".join(["0.5"] * 2048)
+    )
+    doc = '{"layout": "coo", "layers": [%s]}' % ", ".join([layer] * 10)
+    tracemalloc.start()
+    try:
+        net = deserialize(doc)
+        out = realize(net, IDENTITY, np.ones(2048))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dims(net) == (2048,) * 11
+    assert np.array_equal(out, np.full(2048, 0.5))
+    assert peak < 16 * 2**20
 
 
 def coo_doc(**layer1):
@@ -624,3 +672,96 @@ def test_small_or_dense_layers_keep_the_plain_product_bits(rng):
         assert layer._block_plan is None
         z = rng.standard_normal((9, 256))
         assert np.array_equal(realize(Network((layer,)), RELU, z), z @ w.T + layer.bias)
+
+
+# ---------------------------------------------------------------------------
+# the three layer forms
+
+
+def random_leaf(rng):
+    """A dense or COO-loaded layer of up to 40 x 40 with zero, sparse or
+    dense weights, an empty row and column and a sprinkle of -0.0; returns
+    the layer and its matrix."""
+    rows, cols = (int(n) for n in rng.integers(1, 41, size=2))
+    w = rng.standard_normal((rows, cols))
+    w[rng.random(w.shape) < rng.choice([0.0, 0.8, 0.97, 1.0])] = 0.0
+    w[rng.integers(rows)] = 0.0
+    w[:, rng.integers(cols)] = 0.0
+    w[rng.random(w.shape) < 0.05] = -0.0
+    layer = Layer(w, rng.standard_normal(rows))
+    if rng.random() < 0.5:
+        layer = deserialize(serialize(Network((layer,)))).layers[0]
+    return layer, w
+
+
+def block_diagonal(mats):
+    # independent oracle: the dense block-diagonal fill stacks were once built by
+    w = np.zeros((sum(m.shape[0] for m in mats), sum(m.shape[1] for m in mats)))
+    r = c = 0
+    for m in mats:
+        w[r : r + m.shape[0], c : c + m.shape[1]] = m
+        r, c = r + m.shape[0], c + m.shape[1]
+    return w
+
+
+def random_stack(rng, depth):
+    """A stack of 1-8 parts, each a leaf or, while ``depth`` lasts, a stack
+    itself; returns the layer and its block-diagonal matrix."""
+    parts = [
+        random_stack(rng, depth - 1) if depth and rng.random() < 0.3 else random_leaf(rng)
+        for _ in range(rng.integers(1, 9))
+    ]
+    return Layer.stack([p for p, _ in parts]), block_diagonal([m for _, m in parts])
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.integers(1, 12))
+def test_stacks_keep_the_block_diagonal_bits_and_plan(seed, depth, copies):
+    rng = np.random.default_rng(seed)
+    pieces = [random_stack(rng, depth) for _ in range(copies)]
+    layer = Layer.stack([p for p, _ in pieces])
+    want = block_diagonal([m for _, m in pieces])
+    plan = layer._block_plan  # from the parts, before any matrix is filled
+    assert "weights" not in vars(layer)
+    assert layer.weights.shape == want.shape and layer.weights.tobytes() == want.tobytes()
+    assert layer.weights.flags.c_contiguous and not layer.weights.flags.writeable
+    dense = Layer(layer.weights, layer.bias)
+    if plan is None:
+        assert dense._block_plan is None
+        return
+    check_block_plan(layer)
+    assert len(plan) == len(dense._block_plan)
+    for got, ref in zip(plan, dense._block_plan):
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    z = rng.standard_normal((3, layer.cols))
+    assert layer.apply(z).tobytes() == dense.apply(z).tobytes()
+
+
+def test_random_stacks_fall_on_both_sides_of_the_plan_threshold():
+    # the property above draws its stacks this way, from 1 to 12 copies
+    planned = {
+        Layer.stack([random_stack(np.random.default_rng(seed), 1)[0] for _ in range(copies)])
+        ._block_plan is not None
+        for seed in range(2) for copies in (1, 12)
+    }
+    assert planned == {False, True}
+
+
+def test_realize_fills_no_matrix_of_a_planned_spacetime_layer(rng):
+    drift = random_net(rng, 4, 4, 2, width_hi=3)
+    spec = EulerSpec(drift, 1.0, 4, tuple(0.4 * rng.standard_normal((4, 4))), 1e-2, 3.0)
+    net = spacetime_net(spec)
+    realize(net, RELU, rng.standard_normal((5, 5)))
+    planned = [layer for layer in net.layers if layer._block_plan is not None]
+    assert planned
+    assert not any("weights" in vars(layer) for layer in planned)
+
+
+def test_layers_keep_identity_semantics():
+    layer = identity_net(2).layers[0]
+    assert hash(layer) == hash(layer) and layer != Layer(layer.weights, layer.bias)
+    assert weakref.ref(layer)() is layer
+    with pytest.raises(AttributeError):
+        layer.bias = np.zeros(4)
+    with pytest.raises(AttributeError):
+        del layer.weights
