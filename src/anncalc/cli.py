@@ -8,6 +8,7 @@ errors (argparse's convention).
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -24,6 +25,7 @@ from .euler import EulerSpec, euler_space_net, spacetime_net, spacetime_param_bo
 from .network import (
     DomainError,
     IDENTITY,
+    Layer,
     Network,
     ParseError,
     RELU,
@@ -192,11 +194,34 @@ def _write_text(text: str, path) -> None:
 
 def _cmd_info(args) -> int:
     net = load_network(args.network)
-    print(
-        f"dims={dims(net)} L={net.depth} H={net.depth - 1} P={param_count(net)} "
-        f"I={net.input_dim} O={net.output_dim}"
-    )
+    doc = {"dims": list(dims(net)), "L": net.depth, "H": net.depth - 1,
+           "P": param_count(net), "I": net.input_dim, "O": net.output_dim}
+    if args.layers:
+        doc["layers"] = [_layer_info(k, layer) for k, layer in enumerate(net.layers)]
+    if args.json:
+        print(json.dumps(doc, allow_nan=False))
+        return 0
+    print(f"dims={dims(net)} " + " ".join(f"{key}={doc[key]}" for key in "LHPIO"))
+    if args.layers:
+        print("layer form    rows  cols nonzeros   density planned blocks groups")
+        for row in doc["layers"]:
+            groups = ",".join(f"{g}*{a}x{b}" for g, a, b in row["groups"]) or "-"
+            print(f"{row['layer']:>5} {row['form']:<7} {row['rows']:>5} {row['cols']:>5} "
+                  f"{row['nonzeros']:>8} {row['density']:>9.3g} "
+                  f"{'yes' if row['planned'] else 'no':<7} {row['blocks']:>6} {groups}")
     return 0
+
+
+def _layer_info(k: int, layer: Layer) -> dict:
+    """One layer's form, shape, nonzeros and density, and its block plan:
+    planned or not, the number of blocks and each group's [blocks, rows, cols]."""
+    nonzeros = int(np.count_nonzero(layer._entries[2]))
+    plan = layer._block_plan
+    groups = [[r.shape[0], r.shape[1], c.shape[1]] for r, c, _ in plan or ()]
+    return {"layer": k, "form": layer.form, "rows": layer.rows, "cols": layer.cols,
+            "nonzeros": nonzeros, "density": nonzeros / (layer.rows * layer.cols),
+            "planned": plan is not None, "blocks": sum(g for g, _, _ in groups),
+            "groups": groups}
 
 
 def _print_summary(name: str, report: BoundReport) -> None:
@@ -297,8 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("info", help="print dims/L/H/P/I/O of a network file")
+    p = sub.add_parser("info", help="print dims/L/H/P/I/O of a network file, or its layers")
     p.add_argument("network")
+    p.add_argument("--layers", action="store_true",
+                   help="one row per layer: form, shape, nonzeros, density and block plan")
+    p.add_argument("--json", action="store_true", help="print one strict JSON document")
     p.set_defaults(fn=_cmd_info)
 
     p = sub.add_parser("verify", help="run a verification suite")

@@ -13,9 +13,17 @@ fused layer of a composition), as a stack (:meth:`Layer.stack`, the
 block-diagonal layer of a parallelization, which keeps its parts), or as
 the entries of a COO file layer.  Only the dense form holds its matrix;
 ``layer.weights``, the read-only row-major matrix every check compares bit
-for bit, is filled on first use.  A large sparse layer is evaluated from a
-block plan built from its entries, so it need never fill it (see
-:meth:`Layer.apply`).
+for bit, is filled on first use.  A large sparse layer has a block plan
+built from its entries, so it need never fill it.
+
+A network with such a layer is evaluated from one plan, derived from its
+layers' block plans on first use and kept with it (:attr:`Network._plan`).
+The state after a planned layer is a C-ordered (units, points) array in
+block order, so each group of blocks writes one contiguous slice of it and,
+where its columns lie in a row, reads one; bias and ReLU go in place.  Every
+other layer computes exactly ``z @ W.T + b``.  A network with no layer of
+_BLOCK_MIN_ENTRIES entries, as every suite net, plans nothing and runs that
+plain loop.  States come out in each layer's own unit order.
 
 Numbers from outside follow one rule, :func:`_numbers`: integers and floats
 only.  A bool, a string, None or an integer wider than 64 bits is a
@@ -82,6 +90,10 @@ _BLOCK_MAX_DENSITY = 8
 # one.  The largest layer of the d=4 space-time nets has 1.9M entries at
 # N=16, 4.0M at N=64 and 8.0M at N=128.
 _MAX_LAYER_ENTRIES = 1 << 27
+
+# A planned layer adds its bias and applies the ReLU to this many bytes of
+# its state at a time, which stay in a core's L2 cache between the two.
+_CHUNK_BYTES = 1 << 19
 
 
 class ShapeError(ValueError):
@@ -161,25 +173,30 @@ def _checked_bias(bias, rows: int) -> np.ndarray:
     return b
 
 
+# the form a layer is born in, by the array it is born with
+_FORMS = {"weights": "dense", "_parts": "stack", "_entries": "entries"}
+
+
 class Layer:
     """One affine map ``x -> W x + b`` with ``W`` of shape (rows, cols), born
-    dense, as a stack or as COO entries (see the module docstring).  Layers
-    are immutable and compare by identity."""
+    dense, as a stack or as COO entries (see the module docstring), which
+    ``form`` names.  Layers are immutable and compare by identity."""
 
     def __init__(self, weights, bias):
         w = _frozen(weights, 2, "weight matrix")
         b = _checked_bias(bias, w.shape[0])
         if min(w.shape) < 1:
             raise ShapeError(f"layer dimensions must be positive, got {w.shape}")
-        self.__dict__.update(rows=w.shape[0], cols=w.shape[1], bias=b, weights=w)
+        self.__dict__.update(rows=w.shape[0], cols=w.shape[1], bias=b, weights=w, form="dense")
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, bias: np.ndarray, **form) -> Layer:
-        """A layer of fresh, consistent arrays, kept without a copy: ``form`` is
+    def _trusted(cls, rows: int, cols: int, bias: np.ndarray, **data) -> Layer:
+        """A layer of fresh, consistent arrays, kept without a copy: ``data`` is
         ``weights=`` a read-only matrix, ``_parts=`` or ``_entries=``."""
         layer = cls.__new__(cls)
         bias.setflags(write=False)
-        layer.__dict__.update(rows=rows, cols=cols, bias=bias, **form)
+        form = _FORMS[next(iter(data))]
+        layer.__dict__.update(rows=rows, cols=cols, bias=bias, form=form, **data)
         return layer
 
     def __setattr__(self, name, *value):
@@ -229,26 +246,6 @@ class Layer:
         parts = tuple(layers)
         rows, cols = sum(p.rows for p in parts), sum(p.cols for p in parts)
         return Layer._trusted(rows, cols, np.concatenate([p.bias for p in parts]), _parts=parts)
-
-    def apply(self, z: np.ndarray) -> np.ndarray:
-        """The affine map on a batch: ``z @ W.T + b`` for ``z`` of shape (n, cols).
-
-        A layer with a block plan is evaluated from it: one stacked product
-        per block shape plus the bias of its rows, written into a
-        bias-filled output, so a row in no block gets the bias alone.  Its
-        result equals the dense product up to summation order.  Every other
-        layer computes exactly ``z @ W.T + b``.
-        """
-        if self.rows * self.cols < _BLOCK_MIN_ENTRIES or self._block_plan is None:
-            return z @ self.weights.T + self.bias
-        zt = np.ascontiguousarray(z.T)
-        out = np.repeat(self.bias[:, np.newaxis], zt.shape[1], axis=1)
-        for row_ids, col_ids, blocks in self._block_plan:
-            # no row is in two blocks, so each block row is written once
-            prod = blocks @ zt[col_ids]
-            prod += self.bias[row_ids][:, :, np.newaxis]
-            out[row_ids.ravel()] = prod.reshape(row_ids.size, -1)
-        return out.T
 
     @cached_property
     def _block_plan(self) -> tuple | None:
@@ -325,6 +322,59 @@ class Network:
                     f"produces {layers[k - 1].rows}"
                 )
 
+    @classmethod
+    def _trusted(cls, layers: tuple[Layer, ...]) -> Network:
+        """A network of layers that already chain, kept unchecked: ``ops``
+        builds them from checked networks and checks the interface it fuses."""
+        net = cls.__new__(cls)
+        object.__setattr__(net, "layers", layers)
+        return net
+
+    @cached_property
+    def _plan(self) -> tuple:
+        """One evaluation step per layer, derived from the layers' block plans.
+
+        A layer without a plan is its own step.  A planned layer writes its
+        state in block order: the rows of each group in plan order, block by
+        block, then the rows in no block.  Its step holds its runs (stacked
+        blocks, where they read the previous state, the slice they write),
+        its bias in block order, its number of block rows and the position
+        of each unit.  A run is a longest stretch of a group's blocks that
+        read one slice; a group whose blocks' columns do not lie in a row, or
+        whose runs hold fewer than two blocks on average, is one run that
+        gathers them.
+        """
+        steps, pos = [], None
+        for layer in self.layers:
+            plan = layer._block_plan
+            if plan is None:
+                steps.append(layer)
+                pos = None
+                continue
+            # an all-zero layer has a plan without blocks
+            blocked = np.concatenate([np.arange(0)] + [row_ids.ravel() for row_ids, _, _ in plan])
+            free = np.ones(layer.rows, dtype=bool)
+            free[blocked] = False
+            order = np.concatenate([blocked, np.flatnonzero(free)])
+            runs, start = [], 0
+            for row_ids, col_ids, blocks in plan:
+                at = col_ids if pos is None else pos[col_ids]
+                g, a = row_ids.shape
+                # blocks that read on where the one before stops share a slice;
+                # each run costs a product, which pays where runs average two blocks
+                cuts = (np.flatnonzero(at[1:, 0] != at[:-1, -1] + 1) + 1).tolist()
+                count = len(cuts) + 1
+                if (np.diff(at, axis=1) == 1).all() and (count == 1 or g >= 2 * count):
+                    for lo, hi in zip([0] + cuts, cuts + [g]):
+                        src = slice(int(at[lo, 0]), int(at[hi - 1, -1]) + 1)
+                        runs.append((blocks[lo:hi], src, slice(start + lo * a, start + hi * a)))
+                else:
+                    runs.append((blocks, at, slice(start, start + g * a)))
+                start += g * a
+            pos = np.argsort(order)
+            steps.append((tuple(runs), layer.bias[order], start, pos))
+        return tuple(steps)
+
     @property
     def depth(self) -> int:
         return len(self.layers)
@@ -391,12 +441,56 @@ def _prepare_input(net: Network, x) -> tuple[np.ndarray, bool]:
 
 
 def _states(net: Network, act: Activation, z: np.ndarray):
-    """The states x_0, ..., x_L of one evaluation of the batch ``z``, one at a time."""
-    yield z
-    for layer in net.layers[:-1]:
-        z = act.fn(layer.apply(z))
-        yield z
-    yield net.layers[-1].apply(z)
+    """The states x_0, ..., x_L of one evaluation of the batch ``z``, each with
+    the position of its units: None for a (points, units) array in the
+    layer's own order, an array for the (units, points) block-order state of
+    a planned layer.  A net without a large layer plans nothing."""
+    large = any(layer.rows * layer.cols >= _BLOCK_MIN_ENTRIES for layer in net.layers)
+    steps = net._plan if large else net.layers
+    last = len(steps) - 1
+    relu = act is RELU
+    pos = None
+    yield z, pos
+    for k, step in enumerate(steps):
+        if isinstance(step, Layer):
+            # after a planned layer the (n, cols) operand is a transposed view:
+            # BLAS may pick another kernel, and round otherwise, on another layout
+            z = (z if pos is None else z[pos].T) @ step.weights.T + step.bias
+            pos = None
+        else:
+            z = _blocks_apply(step, z.T.copy() if pos is None else z, relu and k < last)
+            pos = step[-1]
+        # a planned layer applies the ReLU itself
+        if k < last and not (relu and pos is not None):
+            z = np.maximum(z, 0.0, out=z) if relu else act.fn(z)
+        yield z, pos
+
+
+def _blocks_apply(step: tuple, s: np.ndarray, relu: bool) -> np.ndarray:
+    """A planned layer on the (units, points) state ``s``, then the ReLU if
+    ``relu``: each run's stacked product goes straight into its slice of the
+    new state, and the bias and the ReLU go over it in place."""
+    runs, bias, blocked, _ = step
+    n = s.shape[1]
+    out = np.empty((bias.size, n))
+    for blocks, src, rows in runs:
+        g, a, b = blocks.shape
+        np.matmul(blocks, s[src].reshape(g, b, n), out=out[rows].reshape(g, a, n))
+    # -0.0 + b is b for every b, so a row in no block gets its bias alone
+    out[blocked:] = -0.0
+    # a few rows at a time, so that the ReLU finds them still in cache
+    chunk = max(1, _CHUNK_BYTES // max(8 * n, 1))
+    for r in range(0, bias.size, chunk):
+        part = out[r : r + chunk]
+        part += bias[r : r + chunk, np.newaxis]
+        if relu:
+            np.maximum(part, 0.0, out=part)
+    return out
+
+
+def _own_order(state: np.ndarray, pos) -> np.ndarray:
+    """A state of :func:`_states` as (points, units) in the layer's unit order."""
+    return state if pos is None else state[pos].T
 
 
 def realize(net: Network, act: Activation, x) -> np.ndarray:
@@ -409,8 +503,9 @@ def realize(net: Network, act: Activation, x) -> np.ndarray:
     an infinity.
     """
     z, single = _prepare_input(net, x)
-    for z in _states(net, act, z):
+    for state in _states(net, act, z):
         pass
+    z = _own_order(*state)
     return z[0] if single else z
 
 
@@ -420,7 +515,7 @@ def forward_states(net: Network, act: Activation, x) -> list[np.ndarray]:
     Takes ``x`` as :func:`realize` does and raises the same errors.
     """
     z, single = _prepare_input(net, x)
-    states = list(_states(net, act, z))
+    states = [_own_order(*state) for state in _states(net, act, z)]
     return [s[0] for s in states] if single else states
 
 

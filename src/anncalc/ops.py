@@ -57,7 +57,7 @@ def compose(phi1: Network, phi2: Network) -> Network:
             f"(dims {dims(phi1)} vs {dims(phi2)})"
         )
     fused = phi1.layers[0].after(phi2.layers[-1])
-    return Network(phi2.layers[:-1] + (fused,) + phi1.layers[1:])
+    return Network._trusted(phi2.layers[:-1] + (fused,) + phi1.layers[1:])
 
 
 def power(phi: Network, n: int) -> Network:
@@ -165,7 +165,9 @@ def parallel_equal(nets: Sequence[Network]) -> Network:
     depths = [net.depth for net in nets]
     if len(set(depths)) != 1:
         raise ShapeError(f"parallelization needs equal depths, got {depths}")
-    return Network(tuple(Layer.stack(column) for column in zip(*(net.layers for net in nets))))
+    return Network._trusted(
+        tuple(Layer.stack(column) for column in zip(*(net.layers for net in nets)))
+    )
 
 
 def parallel_general(

@@ -9,6 +9,7 @@ import anncalc.cli
 from anncalc import (
     SUITES,
     BoundReport,
+    EulerSpec,
     Network,
     RELU,
     dims,
@@ -18,9 +19,11 @@ from anncalc import (
     run_suite,
     save_network,
     serialize,
+    spacetime_net,
     sum_equal,
 )
 from anncalc.cli import main
+from anncalc.network import _strict_json
 
 from conftest import random_net, spy
 
@@ -155,6 +158,71 @@ def test_info_format(tmp_path, capsys):
     assert run("info", sq) == 0
     out = capsys.readouterr().out.strip()
     assert out == "dims=(1, 4, 1) L=2 H=1 P=13 I=1 O=1"
+
+
+def strict_json(text):
+    return _strict_json(text, "info output")[1]
+
+
+def test_info_layers_of_a_tiny_net(tmp_path, capsys):
+    net = tmp_path / "id.ann.json"
+    run("build", "--kind", "identity", "--d", 2, "-o", net)
+    dense = tmp_path / "dense.ann.json"
+    dense.write_text('{"layers": [{"weights": [[1.0, 0.0], [0.0, -0.0]], "bias": [0.5, 0.0]}]}')
+    capsys.readouterr()
+    assert run("info", net, "--layers") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "dims=(2, 4, 2) L=2 H=1 P=22 I=2 O=2"
+    assert lines[1].split() == ["layer", "form", "rows", "cols", "nonzeros", "density",
+                                "planned", "blocks", "groups"]
+    assert [line.split() for line in lines[2:]] == [
+        ["0", "entries", "4", "2", "4", "0.5", "no", "0", "-"],
+        ["1", "entries", "2", "4", "4", "0.5", "no", "0", "-"],
+    ]
+    assert run("info", dense, "--layers", "--json") == 0
+    doc = strict_json(capsys.readouterr().out)
+    assert doc["dims"] == [2, 2] and doc["P"] == 6
+    assert doc["layers"] == [{"layer": 0, "form": "dense", "rows": 2, "cols": 2, "nonzeros": 1,
+                              "density": 0.25, "planned": False, "blocks": 0, "groups": []}]
+    assert run("info", dense, "--json") == 0
+    assert strict_json(capsys.readouterr().out) == {
+        "dims": [2, 2], "L": 1, "H": 0, "P": 6, "I": 2, "O": 2}
+
+
+def test_info_layers_of_a_planned_spacetime_net(tmp_path, rng, capsys):
+    drift = random_net(rng, 4, 4, 2, width_hi=3)
+    spec = EulerSpec(drift, 1.0, 4, tuple(0.4 * rng.standard_normal((4, 4))), 1e-2, 3.0)
+    path = tmp_path / "st.ann.json"
+    save_network(spacetime_net(spec), path)
+    net = load_network(path)
+    capsys.readouterr()
+    assert run("info", path, "--layers", "--json") == 0
+    rows = strict_json(capsys.readouterr().out)["layers"]
+    assert len(rows) == net.depth
+    for row, layer in zip(rows, net.layers):
+        nonzeros = int(np.count_nonzero(layer.weights))
+        plan = layer._block_plan or ()
+        assert (row["rows"], row["cols"], row["nonzeros"]) == (layer.rows, layer.cols, nonzeros)
+        assert row["density"] == nonzeros / (layer.rows * layer.cols)
+        assert row["planned"] == (layer._block_plan is not None)
+        assert row["groups"] == [[*row_ids.shape, col_ids.shape[1]] for row_ids, col_ids, _ in plan]
+        assert row["blocks"] == sum(len(row_ids) for row_ids, _, _ in plan)
+    assert any(row["planned"] for row in rows) and not all(row["planned"] for row in rows)
+    assert run("info", path, "--layers") == 0
+    lines = capsys.readouterr().out.splitlines()[2:]
+    for line, row in zip(lines, rows):
+        groups = ",".join(f"{g}*{a}x{b}" for g, a, b in row["groups"]) or "-"
+        assert line.split()[6:] == ["yes" if row["planned"] else "no", str(row["blocks"]), groups]
+
+
+@pytest.mark.parametrize("flags", [["--layers"], ["--layers", "--json"]])
+def test_info_layers_of_a_malformed_file(tmp_path, capsys, flags):
+    bad = tmp_path / "bad.ann.json"
+    bad.write_text('{"layout": "coo", "layers": [{"shape": [1, 1]}]}')
+    assert run("info", bad, *flags) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: layer 0: missing") and captured.err.count("\n") == 1
 
 
 def test_build_prints_wrote_line(tmp_path, capsys):

@@ -734,7 +734,8 @@ def test_stacks_keep_the_block_diagonal_bits_and_plan(seed, depth, copies):
         for a, b in zip(got, ref):
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
     z = rng.standard_normal((3, layer.cols))
-    assert layer.apply(z).tobytes() == dense.apply(z).tobytes()
+    got, want = (realize(Network((one,)), RELU, z) for one in (layer, dense))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_random_stacks_fall_on_both_sides_of_the_plan_threshold():
@@ -755,6 +756,17 @@ def test_realize_fills_no_matrix_of_a_planned_spacetime_layer(rng):
     planned = [layer for layer in net.layers if layer._block_plan is not None]
     assert planned
     assert not any("weights" in vars(layer) for layer in planned)
+
+
+def test_layers_name_the_form_they_were_born_in():
+    dense = Layer(np.eye(2), np.zeros(2))
+    stack = Layer.stack([dense, dense])
+    entries = deserialize(serialize(Network((stack,)))).layers[0]
+    layers = (dense, dense.after(dense), stack, entries)
+    for _ in range(2):  # filling a matrix or an entries view changes no form
+        assert [layer.form for layer in layers] == ["dense", "dense", "stack", "entries"]
+        for layer in layers:
+            layer.weights, layer._entries
 
 
 def test_layers_keep_identity_semantics():
