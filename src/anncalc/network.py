@@ -35,7 +35,9 @@ Files (``.ann.json``) are read, like scheme files, by one strict JSON front
 end: UTF-8 text without NaN or Infinity tokens, any failure a ParseError.
 They hold one coordinate-list layout: each layer stores its shape, the row
 and column of each weight that is nonzero or ``-0.0`` in row-major order,
-those weights, and the dense bias, so a load gives back the same bytes::
+those weights, and the dense bias, so a load gives back the same bytes.
+Each distinct number of a list is formatted once, and the text is what
+``json.dumps`` writes of the same document::
 
     {"layout": "coo", "layers": [{"shape": [r, c], "rows": [...],
      "cols": [...], "values": [...], "bias": [...]}, ...]}
@@ -527,24 +529,34 @@ def networks_equal(a: Network, b: Network) -> bool:
     )
 
 
+def _json_list(a: np.ndarray) -> str:
+    """The 1-d array ``a`` as the text ``json.dumps`` writes of its list.
+    Each distinct number is formatted once by ``repr`` and put back in
+    place; floats are told apart by their bits, so ``-0.0`` stays ``-0.0``."""
+    keys = a.view(np.int64) if a.dtype.kind == "f" else a
+    distinct, inverse = np.unique(keys, return_inverse=True)
+    text = np.array([repr(v) for v in distinct.view(a.dtype).tolist()], dtype=object)
+    return "[" + ", ".join(text[inverse].tolist()) + "]"
+
+
 def serialize(net: Network) -> bytes:
     """Strict JSON document in the COO layout, full double precision.
 
     Each layer lists its weights in row-major order that are nonzero or have
     the sign bit set, so a ``-0.0`` comes back as ``-0.0``.  JSON has no NaN
-    or infinity, so a layer holding one raises DomainError.  Layers are
-    encoded one at a time, so the Python numbers of only one layer are alive
-    at once.
+    or infinity, so a layer holding one raises DomainError.  The text is
+    what ``json.dumps`` writes of the same document, with each distinct
+    number of a list formatted once.  Layers are written one at a time, so
+    the strings of only one layer are alive at once.
     """
     chunks = [b'{"layout": "coo", "layers": [']
     for k, layer in enumerate(net.layers):
         rows, cols, values = layer._entries
-        doc = {"shape": [layer.rows, layer.cols], "rows": rows.tolist(), "cols": cols.tolist(),
-               "values": values.tolist(), "bias": layer.bias.tolist()}
-        try:
-            text = json.dumps(doc, allow_nan=False)
-        except ValueError as exc:
-            raise DomainError(f"layer {k}: cannot serialize a NaN or infinite scalar") from exc
+        if not (np.isfinite(values).all() and np.isfinite(layer.bias).all()):
+            raise DomainError(f"layer {k}: cannot serialize a NaN or infinite scalar")
+        text = (f'{{"shape": [{layer.rows}, {layer.cols}], "rows": {_json_list(rows)}, '
+                f'"cols": {_json_list(cols)}, "values": {_json_list(values)}, '
+                f'"bias": {_json_list(layer.bias)}}}')
         if k:
             chunks.append(b", ")
         chunks.append(text.encode("utf-8"))
@@ -671,8 +683,11 @@ def deserialize(data: bytes | str) -> Network:
 
 
 def save_network(net: Network, path) -> None:
+    """Write :func:`serialize` of ``net`` to ``path``; a net that it rejects
+    leaves the file as it was."""
+    data = serialize(net)
     with open(path, "wb") as fh:
-        fh.write(serialize(net))
+        fh.write(data)
 
 
 def load_network(path) -> Network:

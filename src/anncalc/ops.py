@@ -64,7 +64,9 @@ def power(phi: Network, n: int) -> Network:
     """n-fold composition of ``phi`` with itself.
 
     n = 0 gives (I, 0); a positive power starts from ``phi`` itself, so no
-    power carries (I, 0) and n = 1 returns ``phi``.
+    power carries (I, 0) and n = 1 returns ``phi``.  Every fusion of a
+    deeper ``phi`` is the same layer, built once and repeated; a one-layer
+    ``phi`` composes n - 1 times, each fusion with the power so far.
     """
     if not _is_int(n) or n < 0:
         raise ShapeError(f"power needs an integer n >= 0, got {n!r}")
@@ -74,10 +76,14 @@ def power(phi: Network, n: int) -> Network:
         )
     if n == 0:
         return affine(np.eye(phi.output_dim))
-    result = phi
-    for _ in range(n - 1):
-        result = compose(phi, result)
-    return result
+    if n == 1 or phi.depth == 1:
+        result = phi
+        for _ in range(n - 1):
+            result = compose(phi, result)
+        return result
+    fused = phi.layers[0].after(phi.layers[-1])
+    inner = (fused,) + phi.layers[1:-1]
+    return Network._trusted(phi.layers[:-1] + inner * (n - 1) + phi.layers[-1:])
 
 
 def identity_net(d: int) -> Network:

@@ -12,6 +12,7 @@ from anncalc import (
     EulerSpec,
     Network,
     RELU,
+    affine,
     dims,
     load_network,
     param_count,
@@ -91,6 +92,17 @@ def test_op_power_zero(tmp_path, rng):
     net = load_network(out)
     assert dims(net) == (2, 2)
     assert np.array_equal(net.layers[0].weights, np.eye(2))
+
+
+def test_op_whose_result_cannot_be_saved_keeps_its_output_file(tmp_path, capsys):
+    big = tmp_path / "big.ann.json"
+    save_network(affine(np.full((2, 2), 1e200)), big)
+    before = big.read_bytes()
+    # the fused weights overflow to infinity, which JSON cannot hold
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert run("op", "compose", big, big, "-o", big) == 1
+    assert "cannot serialize" in capsys.readouterr().err
+    assert big.read_bytes() == before
 
 
 def test_op_sum_and_extend(tmp_path, rng):

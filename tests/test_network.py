@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from anncalc import (
@@ -384,6 +384,76 @@ def test_serialize_rejects_non_finite_scalars(bad):
     net = Network(((np.eye(2), np.array([0.0, bad])),))
     with pytest.raises(DomainError, match="layer 0"):
         serialize(net)
+
+
+def test_a_failed_save_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "net.ann.json"
+    save_network(identity_net(2), path)
+    before = path.read_bytes()
+    bad = Network(((np.eye(2), np.zeros(2)), (np.array([[1.0, np.inf]]), np.zeros(1))))
+    with pytest.raises(DomainError, match="layer 1: cannot serialize a NaN or infinite scalar"):
+        save_network(bad, path)
+    assert path.read_bytes() == before
+
+
+def json_dumps_serialize(net):
+    # independent writer of the COO layout: entries scanned from the dense
+    # weights, the whole document handed to json.dumps
+    layers = []
+    for layer in net.layers:
+        w = layer.weights
+        rows, cols = np.nonzero((w != 0.0) | np.signbit(w))
+        layers.append({"shape": [layer.rows, layer.cols], "rows": rows.tolist(),
+                       "cols": cols.tolist(), "values": w[rows, cols].tolist(),
+                       "bias": layer.bias.tolist()})
+    return json.dumps({"layout": "coo", "layers": layers}, allow_nan=False).encode()
+
+
+# numbers whose text is easy to get wrong, beside ones the constructions repeat
+EDGE_NUMBERS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                1e-05, 1e16, 0.1, 1.0, -1.0, 2.0, -4.0]
+file_numbers = st.sampled_from(EDGE_NUMBERS) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def nets_to_write(draw):
+    """A stack of two layers before a dense one; any layer may be all zeros."""
+
+    def layer(rows, cols):
+        w = np.zeros(rows * cols)
+        if draw(st.booleans()):
+            w = draw(st.lists(file_numbers, min_size=rows * cols, max_size=rows * cols))
+        bias = draw(st.lists(file_numbers, min_size=rows, max_size=rows))
+        return Layer(np.reshape(w, (rows, cols)), bias)
+
+    r1, c1, r2, c2, out = (draw(st.integers(1, 4)) for _ in range(5))
+    return Network((Layer.stack([layer(r1, c1), layer(r2, c2)]), layer(out, r1 + r2)))
+
+
+EDGE_NET = Network((
+    Layer.stack([Layer(np.zeros((2, 2)), [0.0, -0.0]),
+                 Layer([[5e-324, -0.0, 0.0]], [1.7976931348623157e308])]),
+    Layer([[-1.7976931348623157e308, 2.0, 2.0]], [-4.0]),
+))
+
+
+@example(EDGE_NET)
+@given(nets_to_write())
+def test_serialize_writes_what_json_dumps_writes(net):
+    assert serialize(net) == json_dumps_serialize(net)
+    coo = deserialize(serialize(net))
+    assert {layer.form for layer in coo.layers} == {"entries"}
+    assert serialize(coo) == json_dumps_serialize(coo)
+
+
+def test_serialize_writes_what_json_dumps_writes_for_large_stacks():
+    rng = np.random.default_rng(7)
+    drift = random_net(rng, 2, 2, 2, width_hi=3, scale=0.7)
+    y = tuple(0.4 * rng.standard_normal((8, 2)))
+    net = spacetime_net(EulerSpec(drift, 1.0, 8, y, 1e-2, 3.0))
+    assert any(layer.form == "stack" and layer.rows * layer.cols >= 1 << 16
+               for layer in net.layers)
+    assert serialize(net) == json_dumps_serialize(net)
 
 
 def test_deserialize_rejects_integer_literals_too_long_to_convert():

@@ -105,6 +105,22 @@ def test_power_zero_is_plain_identity_layer(rng):
     assert np.array_equal(p0.layers[0].bias, np.zeros(3))
 
 
+def composed_power(phi, n):
+    # reference: n - 1 compositions of phi after the power so far
+    if n == 0:
+        return affine(np.eye(phi.output_dim))
+    result = phi
+    for _ in range(n - 1):
+        result = compose(phi, result)
+    return result
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_power_is_repeated_composition_bit_for_bit(rng, n):
+    for phi in [random_net(rng, 3, 3, depth) for depth in (1, 2, 3)] + [relu_identity(2).net]:
+        assert same_bytes(power(phi, n), composed_power(phi, n))
+
+
 def test_power_dims_law():
     assert dims(power(identity_net(2), 3)) == (2, 4, 4, 4, 2)
 
