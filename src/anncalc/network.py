@@ -12,9 +12,10 @@ This module is the only one that knows how a layer is stored.  A
 fused layer of a composition), as a stack (:meth:`Layer.stack`, the
 block-diagonal layer of a parallelization, which keeps its parts), or as
 the entries of a COO file layer.  Only the dense form holds its matrix;
-``layer.weights``, the read-only row-major matrix every check compares bit
-for bit, is filled on first use.  A large sparse layer has a block plan
-built from its entries, so it need never fill it.
+``layer.weights``, the read-only row-major matrix, is filled on first use.
+A large sparse layer has a block plan built from its entries, and
+:func:`networks_equal` compares a large layer by its entries, so neither
+fills it.
 
 A network with such a layer is evaluated from one plan, derived from its
 layers' block plans on first use and kept with it (:attr:`Network._plan`).
@@ -36,7 +37,7 @@ end: UTF-8 text without NaN or Infinity tokens, any failure a ParseError.
 They hold one coordinate-list layout: each layer stores its shape, the row
 and column of each weight that is nonzero or ``-0.0`` in row-major order,
 those weights, and the dense bias, so a load gives back the same bytes.
-Each distinct number of a list is formatted once, and the text is what
+Each distinct number of a long list is formatted once, and the text is what
 ``json.dumps`` writes of the same document::
 
     {"layout": "coo", "layers": [{"shape": [r, c], "rows": [...],
@@ -92,6 +93,10 @@ _BLOCK_MAX_DENSITY = 8
 # one.  The largest layer of the d=4 space-time nets has 1.9M entries at
 # N=16, 4.0M at N=64 and 8.0M at N=128.
 _MAX_LAYER_ENTRIES = 1 << 27
+
+# serialize formats a list of this many numbers or more by its distinct
+# numbers; a shorter list costs less to format number by number than to sort.
+_UNIQUE_MIN_LENGTH = 64
 
 # A planned layer adds its bias and applies the ReLU to this many bytes of
 # its state at a time, which stay in a core's L2 cache between the two.
@@ -522,17 +527,39 @@ def forward_states(net: Network, act: Activation, x) -> list[np.ndarray]:
 
 
 def networks_equal(a: Network, b: Network) -> bool:
-    """Structural equality: identical shapes and bit-identical scalars."""
+    """Structural equality: equal depths and layer shapes, and every weight
+    and bias equal by ``==``, so ``-0.0`` equals ``0.0`` and a NaN equals
+    nothing, not even itself.  A layer of _BLOCK_MIN_ENTRIES entries or more
+    is compared by its nonzero entries, and fills no matrix."""
     return a.depth == b.depth and all(
-        np.array_equal(la.weights, lb.weights) and np.array_equal(la.bias, lb.bias)
-        for la, lb in zip(a.layers, b.layers)
+        _layers_equal(la, lb) for la, lb in zip(a.layers, b.layers)
     )
+
+
+def _layers_equal(a: Layer, b: Layer) -> bool:
+    """``np.array_equal`` of the two weight matrices and of the two biases."""
+    if (a.rows, a.cols) != (b.rows, b.cols) or not np.array_equal(a.bias, b.bias):
+        return False
+    if a.rows * a.cols < _BLOCK_MIN_ENTRIES:
+        return np.array_equal(a.weights, b.weights)
+    # the weights that are not == 0.0 sit at the same places with equal values
+    return all(map(np.array_equal, _nonzeros(a), _nonzeros(b)))
+
+
+def _nonzeros(layer: Layer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The row-major (rows, cols, values) of the weights that are not == 0.0, NaNs among them."""
+    rows, cols, values = layer._entries
+    kept = values != 0.0
+    return rows[kept], cols[kept], values[kept]
 
 
 def _json_list(a: np.ndarray) -> str:
     """The 1-d array ``a`` as the text ``json.dumps`` writes of its list.
-    Each distinct number is formatted once by ``repr`` and put back in
-    place; floats are told apart by their bits, so ``-0.0`` stays ``-0.0``."""
+    In a list of _UNIQUE_MIN_LENGTH numbers or more, each distinct number is
+    formatted once by ``repr`` and put back in place; floats are told apart
+    by their bits, so ``-0.0`` stays ``-0.0``."""
+    if a.size < _UNIQUE_MIN_LENGTH:
+        return "[" + ", ".join(map(repr, a.tolist())) + "]"
     keys = a.view(np.int64) if a.dtype.kind == "f" else a
     distinct, inverse = np.unique(keys, return_inverse=True)
     text = np.array([repr(v) for v in distinct.view(a.dtype).tolist()], dtype=object)
@@ -546,8 +573,8 @@ def serialize(net: Network) -> bytes:
     the sign bit set, so a ``-0.0`` comes back as ``-0.0``.  JSON has no NaN
     or infinity, so a layer holding one raises DomainError.  The text is
     what ``json.dumps`` writes of the same document, with each distinct
-    number of a list formatted once.  Layers are written one at a time, so
-    the strings of only one layer are alive at once.
+    number of a long list formatted once.  Layers are written one at a
+    time, so the strings of only one layer are alive at once.
     """
     chunks = [b'{"layout": "coo", "layers": [']
     for k, layer in enumerate(net.layers):

@@ -36,6 +36,7 @@ from anncalc import (
     square_unit,
 )
 from anncalc.cli import _load_euler_spec
+from anncalc.network import _BLOCK_MIN_ENTRIES
 
 from conftest import check_block_plan, random_net, same_bytes
 
@@ -666,6 +667,84 @@ def test_networks_equal_detects_differences(rng):
         a.layers[0].weights, a.layers[0].weights + 1e-16
     )
     assert not networks_equal(affine(np.ones((2, 2))), affine(np.ones((2, 3))))
+
+
+EQUAL_CASES = ("same", "signed zeros", "nan", "one entry", "bias", "shape")
+FORMS = ("dense", "stack", "coo")
+
+
+def equal_case_nets(seed, large, case, form_a, form_b):
+    """Two nets, a layer of block-diagonal parts before a dense one, whose
+    first layers are born in the two forms.  b's parts are a's changed as
+    ``case`` says; ``large`` puts the first layer at or above the size of
+    _BLOCK_MIN_ENTRIES, else far below it."""
+    rng = np.random.default_rng(seed)
+    count, lo, hi = (8, 32, 40) if large else (3, 1, 12)
+    parts_a = []
+    for _ in range(count):
+        w = rng.standard_normal(rng.integers(lo, hi + 1, size=2))
+        w[rng.random(w.shape) < 0.7] = 0.0
+        w[rng.random(w.shape) < 0.05] = -0.0
+        parts_a.append(w)
+    bias_a = rng.standard_normal(sum(w.shape[0] for w in parts_a))
+    parts_b, bias_b = [w.copy() for w in parts_a], bias_a.copy()
+    k = rng.integers(count)
+    at = tuple(rng.integers(parts_b[k].shape))
+    if case == "signed zeros":  # every 0.0 of b is -0.0 and every -0.0 is 0.0
+        for w in parts_b:
+            w[w == 0.0] *= -1.0
+    elif case == "nan":  # at the same place in both, where == still fails
+        parts_a[k][at] = parts_b[k][at] = np.nan
+    elif case == "one entry":
+        parts_b[k][at] += 1.0
+    elif case == "bias":
+        bias_b[rng.integers(bias_b.size)] += 1.0
+    elif case == "shape":  # one more column, of zeros, so every entry keeps its place
+        parts_b[-1] = np.hstack([parts_b[-1], np.zeros((parts_b[-1].shape[0], 1))])
+
+    def net(parts, bias, form):
+        if form == "coo" and any(np.isnan(w).any() for w in parts):
+            form = "stack"  # a file holds no NaN
+        if form == "stack":
+            biases = np.split(bias, np.cumsum([w.shape[0] for w in parts])[:-1])
+            layer = Layer.stack([Layer(w, b) for w, b in zip(parts, biases)])
+        else:
+            layer = Layer(block_diagonal(parts), bias)
+        if form == "coo":
+            layer = deserialize(serialize(Network((layer,)))).layers[0]
+        return Network((layer, Layer(np.ones((1, layer.rows)), [0.0])))
+
+    return net(parts_a, bias_a, form_a), net(parts_b, bias_b, form_b)
+
+
+@pytest.mark.parametrize("case", EQUAL_CASES)
+@example(seed=1, large=True, form_a="stack", form_b="coo")
+@given(seed=st.integers(0, 2**32 - 1), large=st.booleans(),
+       form_a=st.sampled_from(FORMS), form_b=st.sampled_from(FORMS))
+def test_networks_equal_is_the_dense_comparison(seed, large, case, form_a, form_b):
+    a, b = equal_case_nets(seed, large, case, form_a, form_b)
+    got = networks_equal(a, b)
+    # the reference fills every matrix, so it reads copies built after the call
+    ref_a, ref_b = equal_case_nets(seed, large, case, form_a, form_b)
+    want = all(
+        np.array_equal(la.weights, lb.weights) and np.array_equal(la.bias, lb.bias)
+        for la, lb in zip(ref_a.layers, ref_b.layers)
+    )
+    assert got == want == (case in ("same", "signed zeros"))
+    first = (a.layers[0], b.layers[0])
+    assert all((layer.rows * layer.cols >= _BLOCK_MIN_ENTRIES) == large for layer in first)
+    if large:
+        assert not any("weights" in vars(layer) for layer in first if layer.form != "dense")
+
+
+def test_networks_equal_fills_no_matrix_of_a_large_layer(rng):
+    part = Layer(rng.standard_normal((32, 32)), rng.standard_normal(32))
+    net = Network((Layer.stack([part] * 8),))  # 256 x 256
+    loaded = deserialize(serialize(net))
+    assert networks_equal(net, loaded) and networks_equal(loaded, net)
+    for layer in (net.layers[0], loaded.layers[0]):
+        assert layer.rows * layer.cols >= _BLOCK_MIN_ENTRIES
+        assert "weights" not in layer.__dict__
 
 
 # ---------------------------------------------------------------------------
