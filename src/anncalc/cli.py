@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -81,9 +82,13 @@ def _load_euler_spec(path, eps=None, q=None) -> EulerSpec:
 
 
 def _split_numbers(text: str, flag: str, kind=float) -> list:
-    """Comma-separated numbers of one flag; ParseError naming it otherwise."""
+    """Comma-separated numbers of one flag, none with a ``_``; ParseError naming it otherwise."""
+    items = text.split(",")
+    for v in items:
+        if "_" in v:
+            raise ParseError(f"{flag}: {v!r} is not a number")
     try:
-        return [kind(v) for v in text.split(",")]
+        return [kind(v) for v in items]
     except ValueError as exc:
         raise ParseError(f"{flag}: {exc}") from exc
 
@@ -163,9 +168,13 @@ def _parse_points(args, input_dim) -> np.ndarray:
         pts = np.array(rows, ndmin=2)
     elif args.points_csv:
         try:
-            pts = np.loadtxt(args.points_csv, delimiter=",", ndmin=2)
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                pts = np.loadtxt(args.points_csv, delimiter=",", ndmin=2)
         except ValueError as exc:
             raise ParseError(f"--points-csv: {exc}") from exc
+        if not pts.size:
+            raise ParseError(f"--points-csv: {args.points_csv} holds no points")
     else:
         raise DomainError("eval needs --points or --points-csv")
     if pts.shape[1] != input_dim:

@@ -24,7 +24,9 @@ block order, so each group of blocks writes one contiguous slice of it and,
 where its columns lie in a row, reads one; bias and ReLU go in place.  Every
 other layer computes exactly ``z @ W.T + b``.  A network with no layer of
 _BLOCK_MIN_ENTRIES entries, as every suite net, plans nothing and runs that
-plain loop.  States come out in each layer's own unit order.
+plain loop.  States come out in each layer's own unit order.  A batch under
+1,024 points runs whole, a longer one in slices of a multiple of 64 points,
+at least 512, whose widest state fits _CHUNK_BYTES; the last takes the rest.
 
 Numbers from outside follow one rule, :func:`_numbers`: integers and floats
 only.  A bool, a string, None or an integer wider than 64 bits is a
@@ -101,6 +103,11 @@ _UNIQUE_MIN_LENGTH = 64
 # A planned layer adds its bias and applies the ReLU to this many bytes of
 # its state at a time, which stay in a core's L2 cache between the two.
 _CHUNK_BYTES = 1 << 19
+
+# Batches are sliced from 2 * _SLICE_POINTS points up.  BLAS cuts rows in
+# blocks that divide 64, so a row keeps its bits unless its slice's size picks
+# another kernel, as (M, 48) @ (48, 2) does below M = 601 in OpenBLAS 0.3.31.
+_SLICE_POINTS = 512
 
 
 class ShapeError(ValueError):
@@ -495,6 +502,15 @@ def _blocks_apply(step: tuple, s: np.ndarray, relu: bool) -> np.ndarray:
     return out
 
 
+def _slices(net: Network, z: np.ndarray) -> list[np.ndarray]:
+    """The batch ``z`` in consecutive slices of the largest multiple of 64
+    points whose widest state fits _CHUNK_BYTES, but at least _SLICE_POINTS;
+    the last takes the rest, so each row keeps its place modulo 64."""
+    width = max(net.input_dim, *(layer.rows for layer in net.layers))
+    size = max(_SLICE_POINTS, _CHUNK_BYTES // (8 * 64 * width) * 64)
+    return np.split(z, range(size, len(z) - size + 1, size))
+
+
 def _own_order(state: np.ndarray, pos) -> np.ndarray:
     """A state of :func:`_states` as (points, units) in the layer's unit order."""
     return state if pos is None else state[pos].T
@@ -507,9 +523,11 @@ def realize(net: Network, act: Activation, x) -> np.ndarray:
     the result has shape (O,) or (n, O) accordingly.  Raises ShapeError on
     a wrong or ragged shape and DomainError if ``x`` holds anything but
     integers and floats (strings, bools, complex numbers, None) or a NaN or
-    an infinity.
+    an infinity.  A batch of 1,024 points or more runs in the module's slices.
     """
     z, single = _prepare_input(net, x)
+    if len(z) >= 2 * _SLICE_POINTS and len(parts := _slices(net, z)) > 1:
+        return np.concatenate([realize(net, act, part) for part in parts])
     for state in _states(net, act, z):
         pass
     z = _own_order(*state)
@@ -519,9 +537,13 @@ def realize(net: Network, act: Activation, x) -> np.ndarray:
 def forward_states(net: Network, act: Activation, x) -> list[np.ndarray]:
     """All intermediate states [x_0, x_1, ..., x_L] of one evaluation.
 
-    Takes ``x`` as :func:`realize` does and raises the same errors.
+    Takes and slices ``x`` as :func:`realize` does and raises the same
+    errors; the last state is its result, bit for bit.
     """
     z, single = _prepare_input(net, x)
+    if len(z) >= 2 * _SLICE_POINTS and len(parts := _slices(net, z)) > 1:
+        runs = [forward_states(net, act, part) for part in parts]
+        return [np.concatenate(states) for states in zip(*runs)]
     states = [_own_order(*state) for state in _states(net, act, z)]
     return [s[0] for s in states] if single else states
 

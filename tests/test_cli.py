@@ -163,6 +163,35 @@ def test_eval_points_csv(tmp_path, capsys):
     assert [float(r) for r in rows[1:]] == [0.5, -2.0]
 
 
+@pytest.mark.parametrize("text", ["", "# x, y\n"], ids=["empty", "comment_only"])
+def test_eval_points_csv_without_points_is_one_error_line(tmp_path, capsys, text):
+    net, pts = tmp_path / "id.ann.json", tmp_path / "pts.csv"
+    run("build", "--kind", "identity", "--d", 2, "-o", net)
+    pts.write_text(text)
+    capsys.readouterr()
+    # pytest turns any warning into an error, numpy's "no data" one too
+    assert run("eval", net, "--points-csv", pts) == 1
+    assert capsys.readouterr() == ("", f"error: --points-csv: {pts} holds no points\n")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["eval", "NET", "--points", "1_0,1"], "--points"),
+     (["op", "sum", "NET", "NET", "--weights", "1,2_5", "-o", "OUT"], "--weights"),
+     (["report", "--sweep", "thm1", "--d", "1", "--N", "1_0", "--eps", "1e-1", "-o", "OUT"],
+      "--N")],
+    ids=["points", "weights", "N"],
+)
+def test_numbers_with_underscores_are_refused(tmp_path, capsys, argv, flag):
+    net, out = tmp_path / "id.ann.json", tmp_path / "out"
+    run("build", "--kind", "identity", "--d", 2, "-o", net)
+    capsys.readouterr()
+    assert run(*[{"NET": net, "OUT": out}.get(a, a) for a in argv]) == 1
+    item = next(v for v in argv[argv.index(flag) + 1].split(",") if "_" in v)
+    assert capsys.readouterr() == ("", f"error: {flag}: {item!r} is not a number\n")
+    assert not out.exists()
+
+
 def test_info_format(tmp_path, capsys):
     sq = tmp_path / "sq.ann.json"
     run("build", "--kind", "square-unit", "--eps", 1.0, "-o", sq)

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import anncalc.network
 from anncalc import (
     IDENTITY,
     Activation,
@@ -175,3 +176,22 @@ def test_compose_and_parallel_build_no_checked_network(monkeypatch, rng):
     assert not checks
     for net in (composed, stacked):
         assert Network(net.layers).layers == net.layers
+
+
+@pytest.mark.parametrize("n", [1023, 1025, 2119])
+def test_a_planned_net_runs_a_long_batch_in_slices(monkeypatch, n):
+    net = spacetime_net(grid_spec(7, 4, 2))
+    assert any(layer._block_plan is not None for layer in net.layers)
+    # its widest state is over 128 units, so its slices are of 512 points
+    assert max(layer.rows for layer in net.layers) > 128
+    edges = [0, n] if n < 1024 else [*range(0, n - 512 + 1, 512), n]
+    x = points(7, 4, n)
+    planned = spy(monkeypatch, anncalc.network, "_blocks_apply")
+    for act in (RELU, IDENTITY, USER_RELU):
+        want = [layer_by_layer(net, act, x[a:b]) for a, b in zip(edges[:-1], edges[1:])]
+        got = forward_states(net, act, x)
+        assert realize(net, act, x).tobytes() == got[-1].tobytes()
+        for k, state in enumerate(got):
+            assert state.tobytes() == np.concatenate([w[k] for w in want]).tobytes()
+    # each slice's planned state is (units, points)
+    assert {s.shape[1] for _, s, _ in planned} == {b - a for a, b in zip(edges[:-1], edges[1:])}
