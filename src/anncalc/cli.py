@@ -265,6 +265,10 @@ def _cmd_report(args) -> int:
     ds = _split_numbers(args.d, "--d", int)
     Ns = _split_numbers(args.N, "--N", int)
     epss = _split_numbers(args.eps, "--eps")
+    for flag, values in (("--d", ds), ("--N", Ns), ("--eps", epss)):
+        repeated = [v for k, v in enumerate(values) if v in values[:k]]
+        if repeated:
+            raise ParseError(f"{flag}: {repeated[0]!r} is given more than once")
     rng = np.random.default_rng(args.seed)
     rows = ["d,N,eps,measured_params,param_bound,error_ratio,growth_ratio"]
     counts = {(d, eps): [] for d in ds for eps in epss}
@@ -286,7 +290,7 @@ def _cmd_report(args) -> int:
                     f"{err.measured!r},{gro.measured!r}"
                 )
     _write_text("\n".join(rows) + "\n", args.output)
-    if len(set(Ns)) > 1:
+    if len(Ns) > 1:
         for (d, eps), measured in counts.items():
             slope = float(np.polyfit(np.log(Ns), np.log(measured), 1)[0])
             print(f"# d={d} eps={eps:g}: log-log slope of params in N = {slope:.3f}",

@@ -172,11 +172,13 @@ def product_net(spec: ApproxSpec) -> Network:
     eps, q = spec.epsilon, spec.q
     try:
         square = square_real(ApproxSpec(eps / (2.0 ** (q - 1.0) + 1.0), q))
-    except DomainError as exc:
-        # the only failure left for a valid spec is the square net's underflow
+    except (DomainError, OverflowError) as exc:
+        # the only failure left for a valid spec is an accuracy below the
+        # smallest normal float, found by the square net or, for q >= 1025,
+        # by 2^(q-1) overflowing
         raise DomainError(
             f"q={q} and epsilon={eps} give a unit-square accuracy below the "
-            "smallest normal float; raise q or epsilon"
+            "smallest normal float; raise epsilon or move q toward 3"
         ) from exc
     a1 = affine(np.array([[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]))
     a2 = affine(np.array([[0.5, -0.5, -0.5]]))

@@ -14,19 +14,21 @@ block-diagonal layer of a parallelization, which keeps its parts), or as
 the entries of a COO file layer.  Only the dense form holds its matrix;
 ``layer.weights``, the read-only row-major matrix, is filled on first use.
 A large sparse layer has a block plan built from its entries, and
-:func:`networks_equal` compares a large layer by its entries, so neither
+:func:`networks_equal` compares every layer by its entries, so neither
 fills it.
 
-A network with such a layer is evaluated from one plan, derived from its
-layers' block plans on first use and kept with it (:attr:`Network._plan`).
-The state after a planned layer is a C-ordered (units, points) array in
-block order, so each group of blocks writes one contiguous slice of it and,
-where its columns lie in a row, reads one; bias and ReLU go in place.  Every
-other layer computes exactly ``z @ W.T + b``.  A network with no layer of
-_BLOCK_MIN_ENTRIES entries, as every suite net, plans nothing and runs that
-plain loop.  States come out in each layer's own unit order.  A batch under
-1,024 points runs whole, a longer one in slices of a multiple of 64 points,
-at least 512, whose widest state fits _CHUNK_BYTES; the last takes the rest.
+:func:`realize` and :func:`forward_states` share one evaluator: it checks a
+batch once and runs it whole under 1,024 points, else in slices of a
+multiple of 64 points, at least 512, whose widest state fits _CHUNK_BYTES,
+the last taking the rest.  A network with a large sparse layer is evaluated
+from one plan, derived from its layers' block plans on first use and kept
+with it (:attr:`Network._plan`): the state after a planned layer is a
+C-ordered (units, points) array in block order, so each group of blocks
+writes one contiguous slice of it and, where its columns lie in a row, reads
+one.  Every other layer computes exactly ``z @ W.T + b``; a network with no
+layer of _BLOCK_MIN_ENTRIES entries, as every suite net, plans nothing.  The
+activation is applied in one place, and states come out in each layer's own
+unit order.
 
 Numbers from outside follow one rule, :func:`_numbers`: integers and floats
 only.  A bool, a string, None or an integer wider than 64 bits is a
@@ -54,6 +56,8 @@ from __future__ import annotations
 
 import json
 import numbers
+import sys
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -100,13 +104,11 @@ _MAX_LAYER_ENTRIES = 1 << 27
 # numbers; a shorter list costs less to format number by number than to sort.
 _UNIQUE_MIN_LENGTH = 64
 
-# A planned layer adds its bias and applies the ReLU to this many bytes of
-# its state at a time, which stay in a core's L2 cache between the two.
+# Batches are sliced from 2 * _SLICE_POINTS points up, so that the widest
+# state of a slice fits _CHUNK_BYTES, about a core's L2 cache.  BLAS cuts rows
+# in blocks that divide 64, so a row keeps its bits unless its slice's size
+# picks another kernel, as (M, 48) @ (48, 2) does below M = 601 in OpenBLAS 0.3.31.
 _CHUNK_BYTES = 1 << 19
-
-# Batches are sliced from 2 * _SLICE_POINTS points up.  BLAS cuts rows in
-# blocks that divide 64, so a row keeps its bits unless its slice's size picks
-# another kernel, as (M, 48) @ (48, 2) does below M = 601 in OpenBLAS 0.3.31.
 _SLICE_POINTS = 512
 
 
@@ -123,13 +125,16 @@ class ParseError(ValueError):
 
 
 def _is_int(value) -> bool:
-    """True for an integer of any integral type; bools are not integers here."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    """True for an integer of any integral type within 64 bits; bools are not integers here."""
+    return (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and -(2**63) <= int(value) < 2**64)
 
 
 def _is_real(value) -> bool:
-    """True for a real number of any real type; bools are not numbers here."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """True for a real number of any real type that a float holds; bools are not numbers here."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (not isinstance(value, numbers.Integral)
+                 or -sys.float_info.max <= value <= sys.float_info.max))
 
 
 def _array(values, what: str) -> np.ndarray:
@@ -155,7 +160,7 @@ def _numbers(values, what: str) -> np.ndarray:
         # numpy keeps an integer it cannot hold in 64 bits, and any bool of
         # an object array, as a Python object
         objects = list(a.flat) if a.dtype.kind == "O" else []
-        wide = [v for v in objects if _is_int(v) and not -(2**63) <= v < 2**64]
+        wide = [v for v in objects if isinstance(v, numbers.Integral) and not _is_int(v)]
         got = f"{wide[0]}, an integer wider than 64 bits" if wide else f"dtype {a.dtype}"
         got = "a bool" if _holds_bool(objects) else got
     raise DomainError(f"{what} must hold integers or floats, got {got}")
@@ -439,21 +444,6 @@ def param_count(net: Network) -> int:
     return sum(layer.rows * (layer.cols + 1) for layer in net.layers)
 
 
-def _prepare_input(net: Network, x) -> tuple[np.ndarray, bool]:
-    x = _numbers(x, "input x")
-    single = x.ndim == 1
-    z = x[np.newaxis, :] if single else x
-    if z.ndim != 2 or z.shape[1] != net.input_dim:
-        raise ShapeError(
-            f"input has shape {x.shape} but the network expects "
-            f"{net.input_dim} components"
-        )
-    if not np.isfinite(z).all():
-        at = tuple(int(i) for i in np.argwhere(~np.isfinite(x))[0])
-        raise DomainError(f"input x must be finite, got {x[at]} at index {at}")
-    return z, single
-
-
 def _states(net: Network, act: Activation, z: np.ndarray):
     """The states x_0, ..., x_L of one evaluation of the batch ``z``, each with
     the position of its units: None for a (points, units) array in the
@@ -462,7 +452,6 @@ def _states(net: Network, act: Activation, z: np.ndarray):
     large = any(layer.rows * layer.cols >= _BLOCK_MIN_ENTRIES for layer in net.layers)
     steps = net._plan if large else net.layers
     last = len(steps) - 1
-    relu = act is RELU
     pos = None
     yield z, pos
     for k, step in enumerate(steps):
@@ -472,18 +461,17 @@ def _states(net: Network, act: Activation, z: np.ndarray):
             z = (z if pos is None else z[pos].T) @ step.weights.T + step.bias
             pos = None
         else:
-            z = _blocks_apply(step, z.T.copy() if pos is None else z, relu and k < last)
+            z = _blocks_apply(step, z.T.copy() if pos is None else z)
             pos = step[-1]
-        # a planned layer applies the ReLU itself
-        if k < last and not (relu and pos is not None):
-            z = np.maximum(z, 0.0, out=z) if relu else act.fn(z)
+        if k < last:
+            z = np.maximum(z, 0.0, out=z) if act is RELU else act.fn(z)
         yield z, pos
 
 
-def _blocks_apply(step: tuple, s: np.ndarray, relu: bool) -> np.ndarray:
-    """A planned layer on the (units, points) state ``s``, then the ReLU if
-    ``relu``: each run's stacked product goes straight into its slice of the
-    new state, and the bias and the ReLU go over it in place."""
+def _blocks_apply(step: tuple, s: np.ndarray) -> np.ndarray:
+    """A planned layer on the (units, points) state ``s``: each run's stacked
+    product goes straight into its slice of the new state, and the bias over
+    it in place."""
     runs, bias, blocked, _ = step
     n = s.shape[1]
     out = np.empty((bias.size, n))
@@ -492,28 +480,42 @@ def _blocks_apply(step: tuple, s: np.ndarray, relu: bool) -> np.ndarray:
         np.matmul(blocks, s[src].reshape(g, b, n), out=out[rows].reshape(g, a, n))
     # -0.0 + b is b for every b, so a row in no block gets its bias alone
     out[blocked:] = -0.0
-    # a few rows at a time, so that the ReLU finds them still in cache
-    chunk = max(1, _CHUNK_BYTES // max(8 * n, 1))
-    for r in range(0, bias.size, chunk):
-        part = out[r : r + chunk]
-        part += bias[r : r + chunk, np.newaxis]
-        if relu:
-            np.maximum(part, 0.0, out=part)
+    out += bias[:, np.newaxis]
     return out
 
 
 def _slices(net: Network, z: np.ndarray) -> list[np.ndarray]:
-    """The batch ``z`` in consecutive slices of the largest multiple of 64
-    points whose widest state fits _CHUNK_BYTES, but at least _SLICE_POINTS;
-    the last takes the rest, so each row keeps its place modulo 64."""
+    """The batch ``z`` whole if under 2 * _SLICE_POINTS points, else in
+    consecutive slices of the largest multiple of 64 points whose widest
+    state fits _CHUNK_BYTES, but at least _SLICE_POINTS; the last takes the
+    rest, so each row keeps its place modulo 64."""
+    if len(z) < 2 * _SLICE_POINTS:
+        return [z]
     width = max(net.input_dim, *(layer.rows for layer in net.layers))
     size = max(_SLICE_POINTS, _CHUNK_BYTES // (8 * 64 * width) * 64)
     return np.split(z, range(size, len(z) - size + 1, size))
 
 
-def _own_order(state: np.ndarray, pos) -> np.ndarray:
-    """A state of :func:`_states` as (points, units) in the layer's unit order."""
-    return state if pos is None else state[pos].T
+def _evaluate(net: Network, act: Activation, x, every: bool) -> list[np.ndarray]:
+    """The states of one evaluation at ``x``, each (points, units) in its
+    layer's own unit order, or only the last unless ``every``: ``x`` checked
+    once, its slices' states joined."""
+    x = _numbers(x, "input x")
+    single = x.ndim == 1
+    z = x[np.newaxis, :] if single else x
+    if z.ndim != 2 or z.shape[1] != net.input_dim:
+        raise ShapeError(f"input has shape {x.shape} but the network expects "
+                         f"{net.input_dim} components")
+    if not np.isfinite(z).all():
+        at = tuple(int(i) for i in np.argwhere(~np.isfinite(x))[0])
+        raise DomainError(f"input x must be finite, got {x[at]} at index {at}")
+    runs = []
+    for part in _slices(net, z):
+        states = _states(net, act, part)
+        kept = list(states) if every else deque(states, maxlen=1)
+        runs.append([s if pos is None else s[pos].T for s, pos in kept])
+    states = runs[0] if len(runs) == 1 else [np.concatenate(s) for s in zip(*runs)]
+    return [s[0] for s in states] if single else states
 
 
 def realize(net: Network, act: Activation, x) -> np.ndarray:
@@ -525,13 +527,7 @@ def realize(net: Network, act: Activation, x) -> np.ndarray:
     integers and floats (strings, bools, complex numbers, None) or a NaN or
     an infinity.  A batch of 1,024 points or more runs in the module's slices.
     """
-    z, single = _prepare_input(net, x)
-    if len(z) >= 2 * _SLICE_POINTS and len(parts := _slices(net, z)) > 1:
-        return np.concatenate([realize(net, act, part) for part in parts])
-    for state in _states(net, act, z):
-        pass
-    z = _own_order(*state)
-    return z[0] if single else z
+    return _evaluate(net, act, x, every=False)[0]
 
 
 def forward_states(net: Network, act: Activation, x) -> list[np.ndarray]:
@@ -540,39 +536,28 @@ def forward_states(net: Network, act: Activation, x) -> list[np.ndarray]:
     Takes and slices ``x`` as :func:`realize` does and raises the same
     errors; the last state is its result, bit for bit.
     """
-    z, single = _prepare_input(net, x)
-    if len(z) >= 2 * _SLICE_POINTS and len(parts := _slices(net, z)) > 1:
-        runs = [forward_states(net, act, part) for part in parts]
-        return [np.concatenate(states) for states in zip(*runs)]
-    states = [_own_order(*state) for state in _states(net, act, z)]
-    return [s[0] for s in states] if single else states
+    return _evaluate(net, act, x, every=True)
 
 
 def networks_equal(a: Network, b: Network) -> bool:
     """Structural equality: equal depths and layer shapes, and every weight
     and bias equal by ``==``, so ``-0.0`` equals ``0.0`` and a NaN equals
-    nothing, not even itself.  A layer of _BLOCK_MIN_ENTRIES entries or more
-    is compared by its nonzero entries, and fills no matrix."""
-    return a.depth == b.depth and all(
-        _layers_equal(la, lb) for la, lb in zip(a.layers, b.layers)
-    )
+    nothing, not even itself.  Layers are compared by their entries, so a
+    file layer or a large stack fills no matrix."""
+    return a.depth == b.depth and all(map(_layers_equal, a.layers, b.layers))
 
 
 def _layers_equal(a: Layer, b: Layer) -> bool:
-    """``np.array_equal`` of the two weight matrices and of the two biases."""
+    """``np.array_equal`` of the two weight matrices and of the two biases:
+    the weights that are not == 0.0, NaNs among them, sit at the same places
+    with equal values."""
     if (a.rows, a.cols) != (b.rows, b.cols) or not np.array_equal(a.bias, b.bias):
         return False
-    if a.rows * a.cols < _BLOCK_MIN_ENTRIES:
-        return np.array_equal(a.weights, b.weights)
-    # the weights that are not == 0.0 sit at the same places with equal values
-    return all(map(np.array_equal, _nonzeros(a), _nonzeros(b)))
-
-
-def _nonzeros(layer: Layer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The row-major (rows, cols, values) of the weights that are not == 0.0, NaNs among them."""
-    rows, cols, values = layer._entries
-    kept = values != 0.0
-    return rows[kept], cols[kept], values[kept]
+    kept = []
+    for rows, cols, values in (a._entries, b._entries):
+        nonzero = values != 0.0
+        kept.append((rows[nonzero], cols[nonzero], values[nonzero]))
+    return all(map(np.array_equal, *kept))
 
 
 def _json_list(a: np.ndarray) -> str:

@@ -423,6 +423,49 @@ def test_report_rejects_bad_lists(tmp_path, capsys, flag, value):
     assert capsys.readouterr().err.startswith(f"error: {flag}")
 
 
+Q_1025 = ("q=1025.0 and epsilon=0.1 give a unit-square accuracy below the smallest normal "
+          "float; raise epsilon or move q toward 3")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["build", "--kind", "identity", "--d", "100000000000000000000", "-o", "OUT"],
+      "identity_net needs an integer d >= 1, got 100000000000000000000"),
+     (["build", "--kind", "product", "--eps", "0.1", "--q", "1025", "-o", "OUT"],
+      Q_1025),
+     (["build", "--kind", "scalvec", "--eps", "0.1", "--q", "1025", "-o", "OUT"],
+      Q_1025),
+     (["build", "--kind", "spacetime", "--spec", "SPEC", "--q", "1025", "-o", "OUT"],
+      Q_1025),
+     (["verify", "--suite", "calculus", "--seed", str(2**64)],
+      f"seed must be a non-negative integer, got {2**64}"),
+     (["report", "--sweep", "thm1", "--d", "1,1", "--N", "1,2", "-o", "OUT"],
+      "--d: 1 is given more than once"),
+     (["report", "--sweep", "thm1", "--d", "1", "--N", "2,1,2", "-o", "OUT"],
+      "--N: 2 is given more than once"),
+     (["report", "--sweep", "thm1", "--d", "1", "--N", "1", "--eps", "0.1,1e-1", "-o", "OUT"],
+      "--eps: 0.1 is given more than once")],
+    ids=["wide_d", "product_q", "scalvec_q", "spacetime_q", "wide_seed", "repeated_d",
+         "repeated_N", "repeated_eps"],
+)
+def test_oversized_scalars_and_repeated_sweep_values_are_one_error_line(
+        tmp_path, rng, capsys, argv, message):
+    drift, spec, out = tmp_path / "drift.ann.json", tmp_path / "scheme.json", tmp_path / "out"
+    save_network(random_net(rng, 1, 1, 2), drift)
+    spec.write_text(json.dumps({"drift": str(drift), "T": 1.0, "N": 2, "eps": 0.1,
+                                "y": [[0.1], [0.2]]}))
+    assert run(*[{"OUT": out, "SPEC": spec}.get(a, a) for a in argv]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+def test_sum_weights_may_repeat(tmp_path):
+    net, out = tmp_path / "id.ann.json", tmp_path / "sum.ann.json"
+    run("build", "--kind", "identity", "--d", 2, "-o", net)
+    assert run("op", "sum", net, net, "--weights", "0.5,0.5", "-o", out) == 0
+    assert np.array_equal(realize(load_network(out), RELU, [1.0, -2.0]), [1.0, -2.0])
+
+
 def test_verify_square_suite_exit_zero(tmp_path, capsys):
     csv_path = tmp_path / "report.csv"
     assert run("verify", "--suite", "square", "--seed", 7, "--csv", csv_path) == 0

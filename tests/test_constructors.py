@@ -319,6 +319,17 @@ def test_square_real_rejects_underflowing_unit_accuracy(build, d, eps, q):
         build(ApproxSpec(eps, q, d))
 
 
+@pytest.mark.parametrize("q", [1025.0, 1e300])
+@pytest.mark.parametrize("build, d", [(product_net, 1), (scalar_vector_product, 3)],
+                         ids=["product_net", "scalar_vector_product"])
+def test_products_refuse_a_q_whose_two_to_the_q_overflows(build, d, q):
+    # eps / (2^(q-1) + 1) is below the smallest normal float for every eps
+    with pytest.raises(DomainError) as exc:
+        build(ApproxSpec(0.1, q, d))
+    assert str(exc.value) == (f"q={q!r} and epsilon=0.1 give a unit-square accuracy below "
+                              "the smallest normal float; raise epsilon or move q toward 3")
+
+
 def test_product_annihilation_and_error():
     eps, q = 1e-2, 3.0
     net = product_net(ApproxSpec(eps, q))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import sys
 import tempfile
 import tracemalloc
 import weakref
@@ -13,8 +14,10 @@ from hypothesis import strategies as st
 
 from anncalc import (
     IDENTITY,
+    ApproxSpec,
     DomainError,
     EulerSpec,
+    GrowthBoundInputs,
     Layer,
     Network,
     ParseError,
@@ -25,18 +28,27 @@ from anncalc import (
     dims,
     euler_oracle,
     forward_states,
+    gronwall_bound,
+    halton,
     hat_net,
     identity_net,
     networks_equal,
     param_count,
+    power,
     realize,
+    run_suite,
     save_network,
+    scalar_vector_product,
+    scaling_constant,
     serialize,
     spacetime_net,
     square_unit,
+    sum_general,
+    tent_g,
+    time_hat_nets,
 )
 from anncalc.cli import _load_euler_spec
-from anncalc.network import _BLOCK_MIN_ENTRIES
+from anncalc.network import _BLOCK_MIN_ENTRIES, _is_int, _is_real, _numbers
 
 from conftest import check_block_plan, random_net, same_bytes
 
@@ -291,6 +303,46 @@ def test_evaluation_refuses_integers_wider_than_64_bits(evaluate, x, wide):
     assert str(exc.value) == (
         f"input x must hold integers or floats, got {wide}, an integer wider than 64 bits"
     )
+
+
+_OVERSIZED_SCALARS = {
+    "approx_spec_q": (lambda: ApproxSpec(0.1, 2**1100), DomainError, "q must be finite"),
+    "gronwall_x_norm": (
+        lambda: gronwall_bound(GrowthBoundInputs(1.0, 1.0, (1.0,), (0.0, 0.0)), 10**400, 1),
+        DomainError, "x_norm must be finite"),
+    "scaling_constant": (lambda: scaling_constant(10**400, 1.0), DomainError,
+                         "growth_c must be finite"),
+    "time_hat_nets": (lambda: time_hat_nets(10**400, 2), DomainError, "T must be finite"),
+    "sum_weight": (lambda: sum_general([identity_net(1)], h=[10**400]), DomainError,
+                   "sum weights must be finite"),
+    "tent_g": (lambda: tent_g(2**70, 0.5), DomainError, "tent_g needs an integer n >= 1"),
+    "power": (lambda: power(identity_net(1), 2**70), ShapeError, "power needs an integer n"),
+    "identity_net": (lambda: identity_net(2**70), ShapeError, "identity_net needs an integer d"),
+    "halton": (lambda: halton(2**70, 1), DomainError, "halton needs an integer n"),
+    "scalvec_d": (lambda: scalar_vector_product(ApproxSpec(0.1, 64, 2**70)), DomainError,
+                  "d must be a positive integer"),
+    "seed": (lambda: run_suite("calculus", 2**64), DomainError,
+             "seed must be a non-negative integer"),
+}
+
+
+@pytest.mark.parametrize("call", _OVERSIZED_SCALARS, ids=list(_OVERSIZED_SCALARS))
+def test_scalars_past_64_bits_or_the_largest_float_get_their_documented_errors(call):
+    build, error, message = _OVERSIZED_SCALARS[call]
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value).startswith(message)
+
+
+def test_the_scalar_rule_bounds_integers_as_numbers_does():
+    inside = [2**64 - 1, -(2**63), np.uint64(2**64 - 1), np.int64(-(2**63))]
+    assert all(_is_int(n) and _is_real(n) for n in inside)
+    assert not any(_is_int(n) for n in (2**64, -(2**63) - 1, True))
+    assert _numbers(inside[:2], "x").tolist() == [2.0**64, -(2.0**63)]
+    # a float holds every integer up to the largest float, and no larger one
+    big = int(sys.float_info.max)
+    assert _is_real(big) and _is_real(-big) and _is_real(float("inf"))
+    assert not any(_is_real(n) for n in (big + 1, -big - 1, 10**400, False))
 
 
 def test_layers_are_immutable():
@@ -745,6 +797,31 @@ def test_networks_equal_fills_no_matrix_of_a_large_layer(rng):
     for layer in (net.layers[0], loaded.layers[0]):
         assert layer.rows * layer.cols >= _BLOCK_MIN_ENTRIES
         assert "weights" not in layer.__dict__
+
+
+@pytest.mark.parametrize("size", [4, 256])
+def test_networks_equal_reads_only_the_entries_of_file_layers(rng, size):
+    w = rng.standard_normal((size, size))
+    w[rng.random(w.shape) < 0.9] = 0.0
+    signed = np.where(w == 0.0, -0.0, w)  # every zero of w is -0.0 here
+    bias = rng.standard_normal(size)
+    a, b = (deserialize(serialize(Network((Layer(m, bias),)))) for m in (w, signed))
+    assert networks_equal(a, b) and networks_equal(b, a)
+    # a NaN equals nothing, not even a NaN at the same place
+    rows, cols, values = b.layers[0]._entries
+    nan = np.where(np.arange(values.size) == 0, np.nan, values)
+    c, d = (Network((Layer._trusted(size, size, bias.copy(), _entries=(rows, cols, nan)),))
+            for _ in range(2))
+    assert not networks_equal(c, d) and not networks_equal(b, c)
+    assert not any("weights" in vars(net.layers[0]) for net in (a, b, c, d))
+
+
+def test_networks_equal_fills_no_matrix_of_a_loaded_spacetime_net(rng):
+    drift = random_net(rng, 1, 1, 2, width_hi=3)
+    net = spacetime_net(EulerSpec(drift, 1.0, 2, tuple(0.4 * rng.standard_normal((2, 1)))))
+    first, second = (deserialize(serialize(net)) for _ in range(2))
+    assert networks_equal(first, second)
+    assert not any("weights" in vars(layer) for layer in first.layers + second.layers)
 
 
 # ---------------------------------------------------------------------------

@@ -194,4 +194,13 @@ def test_a_planned_net_runs_a_long_batch_in_slices(monkeypatch, n):
         for k, state in enumerate(got):
             assert state.tobytes() == np.concatenate([w[k] for w in want]).tobytes()
     # each slice's planned state is (units, points)
-    assert {s.shape[1] for _, s, _ in planned} == {b - a for a, b in zip(edges[:-1], edges[1:])}
+    assert {s.shape[1] for _, s in planned} == {b - a for a, b in zip(edges[:-1], edges[1:])}
+
+
+def test_a_long_batch_is_checked_once(monkeypatch):
+    net = spacetime_net(grid_spec(7, 4, 2))
+    x = points(7, 4, 2119)
+    for evaluate in (realize, forward_states):
+        checks = spy(monkeypatch, anncalc.network, "_numbers")
+        evaluate(net, RELU, x)
+        assert len(checks) == 1
