@@ -67,6 +67,8 @@ def tent_g(n: int, x) -> np.ndarray | float:
     """
     if not _is_int(n) or n < 1:
         raise DomainError(f"tent_g needs an integer n >= 1, got {n!r}")
+    if n >= sys.float_info.max_exp:
+        raise DomainError(f"tent_g needs n below 1024, where 2^n overflows a float, got {n}")
     x = _numbers(x, "x")
     u = np.ldexp(np.clip(x, 0.0, 1.0), n)
     m = np.clip(np.floor(u), 0.0, 2.0**n - 1.0)
@@ -210,6 +212,8 @@ def hat_net(alpha: float, beta: float, gamma: float, h: float) -> Network:
     for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma), ("h", h)):
         if not (_is_real(value) and math.isfinite(value)):
             raise DomainError(f"{name} must be a finite number, got {value!r}")
+    # integers give the net, and the errors, of their floats
+    alpha, beta, gamma, h = (float(v) for v in (alpha, beta, gamma, h))
     if not alpha < beta < gamma:
         raise DomainError(f"need alpha < beta < gamma, got ({alpha}, {beta}, {gamma})")
     rise = beta - alpha

@@ -12,10 +12,10 @@ This module is the only one that knows how a layer is stored.  A
 fused layer of a composition), as a stack (:meth:`Layer.stack`, the
 block-diagonal layer of a parallelization, which keeps its parts), or as
 the entries of a COO file layer.  Only the dense form holds its matrix;
-``layer.weights``, the read-only row-major matrix, is filled on first use.
-A large sparse layer has a block plan built from its entries, and
-:func:`networks_equal` compares every layer by its entries, so neither
-fills it.
+``layer.weights``, the read-only row-major matrix, is kept on first use,
+and only there: :func:`serialize` and :func:`networks_equal` scan a stack's
+entries from a fresh fill that no layer keeps, and a large sparse layer's
+block plan scans its entries without keeping them.
 
 :func:`realize` and :func:`forward_states` share one evaluator: it checks a
 batch once and runs it whole under 1,024 points, else in slices of a
@@ -41,6 +41,8 @@ end: UTF-8 text without NaN or Infinity tokens, any failure a ParseError.
 They hold one coordinate-list layout: each layer stores its shape, the row
 and column of each weight that is nonzero or ``-0.0`` in row-major order,
 those weights, and the dense bias, so a load gives back the same bytes.
+A load turns each layer's lists into arrays as the parser closes the layer,
+so the Python numbers of only one layer are alive at once.
 Each distinct number of a long list is formatted once, and the text is what
 ``json.dumps`` writes of the same document::
 
@@ -58,6 +60,7 @@ import json
 import numbers
 import sys
 from collections import deque
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Sequence
@@ -159,7 +162,7 @@ def _numbers(values, what: str) -> np.ndarray:
     else:
         # numpy keeps an integer it cannot hold in 64 bits, and any bool of
         # an object array, as a Python object
-        objects = list(a.flat) if a.dtype.kind == "O" else []
+        objects = a.ravel().tolist() if a.dtype.kind == "O" else []
         wide = [v for v in objects if isinstance(v, numbers.Integral) and not _is_int(v)]
         got = f"{wide[0]}, an integer wider than 64 bits" if wide else f"dtype {a.dtype}"
         got = "a bool" if _holds_bool(objects) else got
@@ -223,34 +226,45 @@ class Layer:
 
     __delattr__ = __setattr__
 
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """The dense matrix; a stack copies in its parts', an entries layer scatters its entries."""
+    def _matrix(self) -> np.ndarray:
+        """The matrix: ``weights`` if filled, else a fresh read-only fill no layer keeps."""
+        if "weights" in self.__dict__:
+            return self.weights
         w = np.zeros((self.rows, self.cols))
-        if "_parts" in self.__dict__:
+        self._fill(w)
+        w.setflags(write=False)
+        return w
+
+    def _fill(self, w: np.ndarray) -> None:
+        """Write the matrix into the zeros ``w``: a held matrix is copied, a
+        stack's parts write their blocks in place, entries are scattered."""
+        if "weights" in self.__dict__:
+            w[...] = self.weights
+        elif "_parts" in self.__dict__:
             r = c = 0
             for part in self._parts:
-                w[r : r + part.rows, c : c + part.cols] = part.weights
+                part._fill(w[r : r + part.rows, c : c + part.cols])
                 r, c = r + part.rows, c + part.cols
         else:
             rows, cols, values = self._entries
             w[rows, cols] = values
-        w.setflags(write=False)
-        return w
 
-    @cached_property
-    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    weights = cached_property(_matrix)
+
+    def _scan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, values) of every weight that is nonzero or ``-0.0``,
         in row-major order.  A dense layer, or a stack too small for a block
         plan, scans its matrix; a larger stack joins its parts' entries."""
         if "_parts" not in self.__dict__ or self.rows * self.cols < _BLOCK_MIN_ENTRIES:
-            w = self.weights
+            w = self._matrix()
             rows, cols = np.nonzero((w != 0.0) | np.signbit(w))
             return rows, cols, w[rows, cols]
         rows, cols, values = zip(*(p._entries for p in self._parts))
         r0, c0 = np.cumsum([(0, 0)] + [(p.rows, p.cols) for p in self._parts], axis=0).T
         return (np.concatenate([r + k for r, k in zip(rows, r0)]),
                 np.concatenate([c + k for c, k in zip(cols, c0)]), np.concatenate(values))
+
+    _entries = cached_property(_scan)
 
     def after(self, other: Layer) -> Layer:
         """This map after ``other`` = (V, c) as one layer (W V, W c + b), as composition fuses."""
@@ -275,12 +289,12 @@ class Layer:
         column j wherever W[i, j] != 0, so no row or column is in two blocks
         and a row in none is all-zero.  One group per block shape (a, b):
         (G, a) row ids, (G, b) column ids, each ascending, and the (G, a, b)
-        stacked weights, filled from :attr:`_entries`.
+        stacked weights, filled from :attr:`_entries` if kept, else from a scan.
         """
         R, C = self.rows, self.cols
         if R * C < _BLOCK_MIN_ENTRIES:
             return None
-        rows, cols, values = self._entries
+        rows, cols, values = self.__dict__.get("_entries") or self._scan()
         nonzero = values != 0.0
         edge_rows, edge_cols = rows[nonzero], cols[nonzero] + R
         if edge_rows.size * _BLOCK_MAX_DENSITY > R * C:
@@ -550,9 +564,11 @@ def networks_equal(a: Network, b: Network) -> bool:
 def _layers_equal(a: Layer, b: Layer) -> bool:
     """``np.array_equal`` of the two weight matrices and of the two biases:
     the weights that are not == 0.0, NaNs among them, sit at the same places
-    with equal values."""
+    with equal values.  Two layers that hold their matrices compare them."""
     if (a.rows, a.cols) != (b.rows, b.cols) or not np.array_equal(a.bias, b.bias):
         return False
+    if "weights" in a.__dict__ and "weights" in b.__dict__:
+        return np.array_equal(a.weights, b.weights)
     kept = []
     for rows, cols, values in (a._entries, b._entries):
         nonzero = values != 0.0
@@ -602,12 +618,14 @@ def _reject_constant(token: str):
     raise ParseError(f"{token} is not a JSON number")
 
 
-def _strict_json(data: bytes | str, what: str) -> tuple[str, object]:
+def _strict_json(data: bytes | str, what: str, hook=None) -> tuple[str, object]:
     """The text of ``data`` and its strict JSON document; ParseError naming
-    ``what`` unless it is UTF-8 text of valid JSON without NaN or Infinity."""
+    ``what`` unless it is UTF-8 text of valid JSON without NaN or Infinity.
+    ``hook(text)``, if given, makes the parser's ``object_hook``."""
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
-        return text, json.loads(text, parse_constant=_reject_constant)
+        return text, json.loads(text, parse_constant=_reject_constant,
+                                object_hook=hook(text) if hook else None)
     except (ValueError, RecursionError) as exc:
         # bytes that are not UTF-8, a JSONDecodeError, a NaN or Infinity token,
         # an integer literal longer than int() converts, or too deep a nesting
@@ -683,27 +701,42 @@ def _dense_layer(raw) -> Layer:
     return Layer(weights, _finite_floats(raw.pop("bias"), "bias"))
 
 
+def _layer_arrays(text: str) -> Callable[[dict], dict]:
+    """The ``object_hook`` that makes each number list an array as the parser
+    closes its object, so only one layer's Python numbers are alive at once;
+    a list numpy cannot make rectangular is left for the layer's checks.  numpy
+    makes a bool 1.0 or 0.0, so where the text spells one (walking every list
+    costs more than the load), a list holding a bool becomes an object array."""
+    spells_bool = "true" in text or "false" in text
+
+    def arrays(obj: dict) -> dict:
+        for key in ("rows", "cols", "values", "bias", "weights"):
+            v = obj.get(key)
+            with suppress(ValueError, RecursionError):
+                if spells_bool and _holds_bool(v):
+                    obj[key] = np.array(v, dtype=object)
+                elif isinstance(v, list):
+                    obj[key] = np.array(v)
+        return obj
+
+    return arrays
+
+
 def deserialize(data: bytes | str) -> Network:
     """Parse a serialized network, COO or dense, reporting the offending layer on failure."""
-    text, doc = _strict_json(data, "document")
+    _, doc = _strict_json(data, "document", _layer_arrays)
     if not isinstance(doc, dict) or "layers" not in doc:
         raise ParseError("document has no 'layers' field")
     if "layout" in doc and doc["layout"] != "coo":
-        raise ParseError(f"unknown layout {doc['layout']!r}; the one layout is 'coo'")
+        layout = _strict_json(data, "document")[1]["layout"]  # as written, without arrays
+        raise ParseError(f"unknown layout {layout!r}; the one layout is 'coo'")
     coo = "layout" in doc
     raw_layers = doc["layers"]
     if not isinstance(raw_layers, list) or not raw_layers:
         raise ParseError("'layers' must be a non-empty list")
-    # numpy makes a bool among numbers 1.0 or 0.0, but walking every list
-    # costs more than the rest of the load, so only a document that spells
-    # a bool is walked; a field holding one becomes an object array
-    spells_bool = "true" in text or "false" in text
     layers = []
     for k, raw in enumerate(raw_layers):
         try:
-            if spells_bool and isinstance(raw, dict):
-                raw = {key: np.array(v, dtype=object) if _holds_bool(v) else v
-                       for key, v in raw.items()}
             if coo:
                 layers.append(_coo_layer(raw, layers[-1].rows if layers else None))
             else:

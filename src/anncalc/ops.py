@@ -22,6 +22,7 @@ from .network import (
     Network,
     RELU,
     ShapeError,
+    _MAX_LAYER_ENTRIES,
     _is_int,
     _is_real,
     affine,
@@ -93,6 +94,8 @@ def identity_net(d: int) -> Network:
     """
     if not _is_int(d) or d < 1:
         raise ShapeError(f"identity_net needs an integer d >= 1, got {d!r}")
+    if 2 * d * d > _MAX_LAYER_ENTRIES:
+        raise ShapeError(f"identity_net({d}) has over {_MAX_LAYER_ENTRIES} entries in a layer")
     eye = np.eye(d)
     w1 = np.vstack([eye, -eye])
     w2 = np.hstack([eye, -eye])

@@ -16,6 +16,7 @@ from anncalc import (
     forward_states,
     hat_net,
     identity_net,
+    networks_equal,
     param_count,
     product_net,
     realize,
@@ -187,6 +188,18 @@ def test_hat_net_rejects_non_finite_arguments(name, value):
 def test_hat_net_refuses_overflowing_breakpoints(build):
     with pytest.raises(DomainError, match=r"^alpha, beta, gamma = \(.*\) overflow the hat"):
         build()
+
+
+def test_hat_net_takes_integer_breakpoints_as_their_floats():
+    net = hat_net(0, 2**70, 2**71, 1)
+    assert networks_equal(net, hat_net(0.0, 2.0**70, 2.0**71, 1.0))
+    wide = (-3 * 2**1022, 3 * 2**1022, 7 * 2**1021, 1)
+    messages = []
+    for args in (wide, tuple(map(float, wide))):
+        with pytest.raises(DomainError, match=r"^alpha, beta, gamma = .* overflow the hat") as exc:
+            hat_net(*args)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
 
 
 def test_hat_net_keeps_the_widest_finite_gaps():

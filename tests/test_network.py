@@ -334,6 +334,31 @@ def test_scalars_past_64_bits_or_the_largest_float_get_their_documented_errors(c
     assert str(exc.value).startswith(message)
 
 
+_UNALLOCATABLE_SIZES = {
+    "identity_net": (lambda: identity_net(2**62), ShapeError, "identity_net(4611686018427387904)"),
+    "identity_net_past_the_cap": (lambda: identity_net(8193), ShapeError, "identity_net(8193)"),
+    "halton": (lambda: halton(2**62, 1), DomainError, "halton(4611686018427387904, 1)"),
+    "halton_without_coordinates": (lambda: halton(2**64 - 1, 0), DomainError, "halton("),
+    "halton_past_the_cap": (lambda: halton(2**26 + 1, 2), DomainError, "halton(67108865, 2)"),
+    "tent_g": (lambda: tent_g(2**40, 0.5), DomainError, "tent_g needs n below 1024"),
+    "tent_g_first_overflow": (lambda: tent_g(1024, 0.5), DomainError,
+                              "tent_g needs n below 1024, where 2^n overflows a float, got 1024"),
+}
+
+
+@pytest.mark.parametrize("call", _UNALLOCATABLE_SIZES, ids=list(_UNALLOCATABLE_SIZES))
+def test_sizes_too_big_to_allocate_get_their_documented_errors(call):
+    # each size check runs before any allocation, so these fail at once
+    build, error, message = _UNALLOCATABLE_SIZES[call]
+    with pytest.raises(error) as exc:
+        build()
+    assert str(exc.value).startswith(message)
+
+
+def test_tent_g_takes_every_n_whose_power_of_two_is_a_float():
+    assert tent_g(1023, [0.0, 2.0**-1074, 0.5, 1.0]).tolist() == [0.0, 2.0**-51, 0.0, 0.0]
+
+
 def test_the_scalar_rule_bounds_integers_as_numbers_does():
     inside = [2**64 - 1, -(2**63), np.uint64(2**64 - 1), np.int64(-(2**63))]
     assert all(_is_int(n) and _is_real(n) for n in inside)
@@ -822,6 +847,84 @@ def test_networks_equal_fills_no_matrix_of_a_loaded_spacetime_net(rng):
     first, second = (deserialize(serialize(net)) for _ in range(2))
     assert networks_equal(first, second)
     assert not any("weights" in vars(layer) for layer in first.layers + second.layers)
+
+
+def _layers_and_parts(net):
+    """Every layer of ``net`` and, recursively, every part of its stacks."""
+    todo, seen = list(net.layers), []
+    while todo:
+        layer = todo.pop()
+        seen.append(layer)
+        todo += layer.__dict__.get("_parts", ())
+    return seen
+
+
+def _nested_stacks_net(rng):
+    """A net of a small stack and a large one (256 x 256), each with a nested stack."""
+    def dense(n):
+        return Layer(rng.standard_normal((n, n)), rng.standard_normal(n))
+
+    small = Layer.stack([dense(3), Layer.stack([dense(2), dense(3)])])
+    inner = Layer.stack([dense(16), dense(16)])
+    large = Layer.stack([Layer.stack([inner] * 4)] + [dense(32)] * 2 + [inner] * 2)
+    lift = Layer(rng.standard_normal((256, 8)), rng.standard_normal(256))
+    return Network((small, lift, large, Layer(np.ones((1, 256)), [0.0])))
+
+
+def test_serialize_and_networks_equal_fill_no_stack_matrix():
+    net, other = (_nested_stacks_net(np.random.default_rng(7)) for _ in range(2))
+    before = [("weights" in vars(layer)) for layer in _layers_and_parts(net)]
+    assert sum(before) < len(before)
+    assert net.layers[2].rows * net.layers[2].cols >= _BLOCK_MIN_ENTRIES
+    data = serialize(net)
+    assert networks_equal(net, other) and networks_equal(net, deserialize(data))
+    assert serialize(other) == data
+    for n in (net, other):
+        after = [("weights" in vars(layer)) for layer in _layers_and_parts(n)]
+        assert after == before
+
+
+def test_networks_equal_compares_held_matrices_without_their_entries():
+    a, b = square_unit(2**-10), square_unit(2**-10)
+    assert networks_equal(a, b)
+    assert not any("_entries" in vars(layer) for layer in a.layers + b.layers)
+
+
+def test_deserialize_holds_one_layers_numbers_at_a_time():
+    rng = np.random.default_rng(5)
+    layers = [Layer(np.where(rng.random((400, 400)) < 0.05, rng.standard_normal((400, 400)), 0.0),
+                    rng.standard_normal(400)) for _ in range(16)]
+    data = serialize(Network(tuple(layers)))
+    tracemalloc.start()
+    try:
+        net = deserialize(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert same_bytes(net, Network(tuple(layers)))
+    # the decoded text, the arrays of all 16 layers and one layer's Python
+    # numbers come to about 1.9 times the file; the numbers of the whole
+    # document, parsed before any is converted, to about 3.3 times
+    assert peak < 2.5 * len(data)
+
+
+def _nested(depth, leaf):
+    for _ in range(depth):
+        leaf = [leaf]
+    return leaf
+
+
+@pytest.mark.parametrize("depth", [70, 900])
+@pytest.mark.parametrize("key", ["rows", "values", "bias"])
+def test_deeply_nested_number_lists_are_a_parse_error(key, depth):
+    doc = json.loads(serialize(identity_net(1)))
+    doc["layers"][0][key] = _nested(depth, True)
+    with pytest.raises(ParseError, match="^layer 0: "):
+        deserialize(json.dumps(doc))
+    # a key that no layer reads may hold anything
+    doc = json.loads(serialize(identity_net(1)))
+    doc["rows"] = doc["layers"][1]["extra"] = _nested(depth, True)
+    assert networks_equal(deserialize(json.dumps(doc)), identity_net(1))
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,32 @@ def test_planned_states_are_kept_in_block_order():
     assert sum(reads) > len(reads) / 2
 
 
+def plan_bytes(plan):
+    """Every array, slice and count of a network's plan, as bytes."""
+    out = []
+    for step in plan:
+        if isinstance(step, Layer):
+            out.append(repr((step.rows, step.cols)).encode() + step.bias.tobytes())
+            continue
+        runs, bias, blocked, pos = step
+        for blocks, src, rows in runs:
+            src = repr(src).encode() if isinstance(src, slice) else src.tobytes()
+            out += [repr((blocks.shape, rows)).encode(), blocks.tobytes(), src]
+        out += [bias.tobytes(), repr(blocked).encode(), pos.tobytes()]
+    return b"|".join(out)
+
+
+def test_a_plan_keeps_no_entries_and_equals_the_plan_from_kept_entries():
+    net, kept = (spacetime_net(grid_spec(7, 4, 4)) for _ in range(2))
+    realize(net, RELU, points(7, 4, 3))
+    large = [layer for layer in net.layers if layer._block_plan is not None]
+    assert len(large) > 10
+    assert not any("_entries" in vars(layer) or "weights" in vars(layer) for layer in large)
+    for layer in kept.layers:
+        layer._entries
+    assert plan_bytes(net._plan) == plan_bytes(kept._plan)
+
+
 def test_rows_in_no_block_keep_the_bits_of_their_bias(rng):
     w = np.zeros((256, 256))
     w[::2, ::2] = rng.standard_normal((128, 128)) * (rng.random((128, 128)) < 0.02)
