@@ -14,8 +14,9 @@ block-diagonal layer of a parallelization, which keeps its parts), or as
 the entries of a COO file layer.  Only the dense form holds its matrix;
 ``layer.weights``, the read-only row-major matrix, is kept on first use,
 and only there: :func:`serialize` and :func:`networks_equal` scan a stack's
-entries from a fresh fill that no layer keeps, and a large sparse layer's
-block plan scans its entries without keeping them.
+entries from a fresh fill that no layer keeps.  A sparse stack's block plan
+is made of its leaves; a large sparse layer of any other form, or a stack
+whose leaves fill too much of it, scans its entries without keeping them.
 
 :func:`realize` and :func:`forward_states` share one evaluator: it checks a
 batch once and runs it whole under 1,024 points, else in slices of a
@@ -26,9 +27,8 @@ with it (:attr:`Network._plan`): the state after a planned layer is a
 C-ordered (units, points) array in block order, so each group of blocks
 writes one contiguous slice of it and, where its columns lie in a row, reads
 one.  Every other layer computes exactly ``z @ W.T + b``; a network with no
-layer of _BLOCK_MIN_ENTRIES entries, as every suite net, plans nothing.  The
-activation is applied in one place, and states come out in each layer's own
-unit order.
+layer of _STACK_MIN_ENTRIES entries plans nothing.  The activation is
+applied in one place, and states come out in each layer's own unit order.
 
 Numbers from outside follow one rule, :func:`_numbers`: integers and floats
 only.  A bool, a string, None or an integer wider than 64 bits is a
@@ -89,11 +89,12 @@ __all__ = [
 ]
 
 
-# A layer is evaluated by its block plan when it has at least
-# _BLOCK_MIN_ENTRIES entries and at most 1/_BLOCK_MAX_DENSITY of them are
-# nonzero.  Below that size the plan would cost more than it saves, and no
-# verification-suite net reaches it, so their results stay those of the
-# plain product.
+# A layer is evaluated by its block plan when at most 1/_BLOCK_MAX_DENSITY of
+# its entries are in blocks: from _STACK_MIN_ENTRIES for a stack, whose plan
+# is its leaves' blocks and needs no scan, and from _BLOCK_MIN_ENTRIES for a
+# plan of connected components, which scans the entries.  Below its size a
+# plan costs more than it saves in the one evaluation a layer often gets.
+_STACK_MIN_ENTRIES = 1 << 12
 _BLOCK_MIN_ENTRIES = 1 << 16
 _BLOCK_MAX_DENSITY = 8
 
@@ -253,8 +254,8 @@ class Layer:
 
     def _scan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, values) of every weight that is nonzero or ``-0.0``,
-        in row-major order.  A dense layer, or a stack too small for a block
-        plan, scans its matrix; a larger stack joins its parts' entries."""
+        in row-major order.  A dense layer, or a stack under _BLOCK_MIN_ENTRIES
+        entries, scans its matrix; a larger stack joins its parts' entries."""
         if "_parts" not in self.__dict__ or self.rows * self.cols < _BLOCK_MIN_ENTRIES:
             w = self._matrix()
             rows, cols = np.nonzero((w != 0.0) | np.signbit(w))
@@ -285,13 +286,43 @@ class Layer:
         """The nonzeros as dense blocks grouped by shape, or None when the
         layer is too small or too dense for them and takes the plain product.
 
-        A block is a connected component of the graph joining row i to
-        column j wherever W[i, j] != 0, so no row or column is in two blocks
-        and a row in none is all-zero.  One group per block shape (a, b):
-        (G, a) row ids, (G, b) column ids, each ascending, and the (G, a, b)
-        stacked weights, filled from :attr:`_entries` if kept, else from a scan.
+        One group per block shape (a, b), in shape order: (G, a) row ids and
+        (G, b) column ids, each ascending, and the (G, a, b) stacked weights,
+        blocks in row order.  No row or column is in two blocks; a row in none
+        is all-zero.  A stack's blocks are its leaves at their offsets, each
+        leaf by its own plan or else whole.  Any other layer's blocks, or a
+        stack's whose leaves fill too much of it, are the connected components
+        of the graph joining row i to column j wherever W[i, j] != 0, filled
+        from :attr:`_entries` if kept, else from a scan.
         """
         R, C = self.rows, self.cols
+        if "_parts" in self.__dict__ and R * C >= _STACK_MIN_ENTRIES:
+            whole, shapes, cells, todo = {}, {}, 0, [(self, 0, 0)]
+            while todo:
+                layer, r, c = todo.pop()
+                if "_parts" in layer.__dict__:
+                    for part in layer._parts:
+                        todo.append((part, r, c))
+                        r, c = r + part.rows, c + part.cols
+                elif layer._block_plan is None:
+                    whole.setdefault((layer.rows, layer.cols), []).append((r, c, layer))
+                    cells += layer.rows * layer.cols
+                else:
+                    for row_ids, col_ids, blocks in layer._block_plan:
+                        shapes.setdefault(blocks.shape[1:], []).append((row_ids + r, col_ids + c, blocks))
+                        cells += blocks.size
+            if cells * _BLOCK_MAX_DENSITY <= R * C:
+                for (a, b), found in whole.items():
+                    r, c, leaves = zip(*found)
+                    blocks = np.array([leaf._matrix() for leaf in leaves])
+                    shapes.setdefault((a, b), []).append(
+                        (np.add.outer(r, np.arange(a)), np.add.outer(c, np.arange(b)), blocks))
+                groups = []
+                for ab in sorted(shapes):
+                    row_ids, col_ids, blocks = map(np.concatenate, zip(*shapes[ab]))
+                    order = np.argsort(row_ids[:, 0])
+                    groups.append((row_ids[order], col_ids[order], blocks[order]))
+                return tuple(groups)
         if R * C < _BLOCK_MIN_ENTRIES:
             return None
         rows, cols, values = self.__dict__.get("_entries") or self._scan()
@@ -463,7 +494,7 @@ def _states(net: Network, act: Activation, z: np.ndarray):
     the position of its units: None for a (points, units) array in the
     layer's own order, an array for the (units, points) block-order state of
     a planned layer.  A net without a large layer plans nothing."""
-    large = any(layer.rows * layer.cols >= _BLOCK_MIN_ENTRIES for layer in net.layers)
+    large = any(layer.rows * layer.cols >= _STACK_MIN_ENTRIES for layer in net.layers)
     steps = net._plan if large else net.layers
     last = len(steps) - 1
     pos = None
@@ -649,7 +680,7 @@ def _index_array(raw, name: str, bound: int) -> np.ndarray:
     if a.size and (a.min() < 0 or a.max() >= bound):
         bad = a[(a < 0) | (a >= bound)][0]
         raise ValueError(f"{name} index {bad} is out of range [0, {bound})")
-    return a.astype(np.int64)
+    return a.astype(np.int64, copy=False)
 
 
 def _coo_layer(raw, inputs: int | None) -> Layer:

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import hypothesis
 import numpy as np
 import pytest
@@ -72,3 +77,54 @@ def spy(monkeypatch, module, name):
 
     monkeypatch.setattr(module, name, recorded)
     return calls
+
+
+# One line per (suite, seed): the SHA-256 of its CSV and JSON at seeds 3 and 7,
+# computed at the lowest priority beside the test session.
+SUITE_HASHES = """
+import hashlib, os
+os.nice(19)
+from anncalc import SUITES, run_suite
+for seed in (3, 7):
+    for name in sorted(SUITES):
+        rep = run_suite(name, seed)
+        print(name, seed, hashlib.sha256((rep.to_csv() + rep.to_json()).encode()).hexdigest())
+"""
+THREADS_TEST = "test_suite_reports_are_byte_identical_at_1_and_2_blas_threads"
+_SUITE_HASH_RUNS = pytest.StashKey[dict]()
+
+
+def pytest_collection_finish(session):
+    """Start SUITE_HASHES in two fresh processes, at OPENBLAS_NUM_THREADS 1
+    and 2, when THREADS_TEST is to run: the test finds them done instead of
+    waiting for them."""
+    if session.config.option.collectonly or all(item.name != THREADS_TEST for item in session.items):
+        return
+    import anncalc
+
+    src = str(Path(anncalc.__file__).parents[1])
+    session.config.stash[_SUITE_HASH_RUNS] = {
+        threads: subprocess.Popen(
+            [sys.executable, "-c", SUITE_HASHES], stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src},
+        )
+        for threads in ("1", "2")
+    }
+
+
+def _stop(runs):
+    for run in runs.values():
+        run.kill()
+        run.wait()
+
+
+def pytest_sessionfinish(session):
+    _stop(session.config.stash.get(_SUITE_HASH_RUNS, {}))
+
+
+@pytest.fixture
+def suite_hash_runs(request):
+    """{threads: Popen} of the SUITE_HASHES runs, killed after the test."""
+    runs = request.config.stash[_SUITE_HASH_RUNS]
+    yield runs
+    _stop(runs)

@@ -14,6 +14,7 @@ from anncalc import (
     GrowthBoundInputs,
     IDENTITY,
     IdentityEmulator,
+    Layer,
     Network,
     RELU,
     ShapeError,
@@ -46,6 +47,7 @@ from anncalc import (
     time_hat_nets,
 )
 
+from anncalc.network import _BLOCK_MIN_ENTRIES
 from conftest import check_block_plan, random_net, same_bytes, spy
 
 
@@ -689,10 +691,16 @@ def test_spacetime_block_plans_tile_the_nonzeros(rng):
     planned = [layer for layer in net.layers if layer._block_plan is not None]
     for layer in planned:
         check_block_plan(layer)
-    # a block need not be a contiguous range of rows and columns
+    # the same weights as large dense layers are planned by their components,
+    # and a component need not be a contiguous range of rows and columns
+    dense = [Layer(layer.weights, layer.bias) for layer in planned
+             if layer.rows * layer.cols >= _BLOCK_MIN_ENTRIES]
+    assert dense
+    for layer in dense:
+        check_block_plan(layer)
     assert any(
         np.any(np.diff(ids) != 1)
-        for layer in planned
+        for layer in dense
         for row_ids, col_ids, _ in layer._block_plan
         for ids in (*row_ids, *col_ids)
     )

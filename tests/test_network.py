@@ -48,7 +48,10 @@ from anncalc import (
     time_hat_nets,
 )
 from anncalc.cli import _load_euler_spec
-from anncalc.network import _BLOCK_MIN_ENTRIES, _is_int, _is_real, _numbers
+from anncalc.network import (
+    _BLOCK_MAX_DENSITY, _BLOCK_MIN_ENTRIES, _STACK_MIN_ENTRIES, _index_array, _is_int, _is_real,
+    _numbers,
+)
 
 from conftest import check_block_plan, random_net, same_bytes
 
@@ -993,14 +996,19 @@ def test_block_plan_tiles_the_nonzeros(seed, all_zero, dense_row):
 
 
 def test_small_or_dense_layers_keep_the_plain_product_bits(rng):
-    # 255 x 256 is under 65,536 entries; the 256 x 256 layer is over 1/8 nonzero
+    # 255 x 256 is under 65,536 entries, the first size planned by components;
+    # the 256 x 256 layer is over 1/8 nonzero; the stack of 60 1 x 1 leaves
+    # is under 4,096 entries, the first size planned from leaves; the stack
+    # whose two 32 x 32 leaves fill half its 4,096 cells is too dense
     small = rng.standard_normal((255, 256)) * (rng.random((255, 256)) < 0.02)
     dense = rng.standard_normal((256, 256))
-    for w in (small, dense):
-        layer = Layer(w, rng.standard_normal(w.shape[0]))
+    half = Layer(dense[:32, :32], rng.standard_normal(32))
+    ones = [Layer([[w]], [b]) for w, b in rng.standard_normal((60, 2))]
+    layers = [Layer(w, rng.standard_normal(w.shape[0])) for w in (small, dense)]
+    for layer in layers + [Layer.stack(ones), Layer.stack([half, half])]:
         assert layer._block_plan is None
-        z = rng.standard_normal((9, 256))
-        assert np.array_equal(realize(Network((layer,)), RELU, z), z @ w.T + layer.bias)
+        z = rng.standard_normal((9, layer.cols))
+        assert np.array_equal(realize(Network((layer,)), RELU, z), z @ layer.weights.T + layer.bias)
 
 
 # ---------------------------------------------------------------------------
@@ -1043,16 +1051,56 @@ def random_stack(rng, depth):
     return Layer.stack([p for p, _ in parts]), block_diagonal([m for _, m in parts])
 
 
+def leaf_blocks(layer, r=0, c=0):
+    """(row ids, column ids, block) of each block a stack plans from its
+    leaves: a leaf's own plan at the leaf's offsets, else the whole leaf."""
+    if layer.form == "stack":
+        for part in layer._parts:
+            yield from leaf_blocks(part, r, c)
+            r, c = r + part.rows, c + part.cols
+    elif layer._block_plan is None:
+        yield np.arange(r, r + layer.rows), np.arange(c, c + layer.cols), layer.weights
+    else:
+        for row_ids, col_ids, blocks in layer._block_plan:
+            yield from zip(row_ids + r, col_ids + c, blocks)
+
+
+def check_stack_plan(layer, want):
+    """The stack's plan holds its leaves' blocks, one group per shape in
+    shape order and blocks in row order, and ``realize`` of the stack is
+    ``z @ want.T + b`` within 1e-12 of its magnitude."""
+    check_block_plan(layer)
+    plan = layer._block_plan
+    shapes = [blocks.shape[1:] for _, _, blocks in plan]
+    assert shapes == sorted(set(shapes))
+    assert all((np.diff(row_ids[:, 0]) > 0).all() for row_ids, _, _ in plan)
+    got = [block for row_ids, col_ids, blocks in plan for block in zip(row_ids, col_ids, blocks)]
+    ref = list(leaf_blocks(layer))
+    assert len(got) == len(ref)
+    for a, b in zip(sorted(got, key=lambda blk: blk[0][0]), sorted(ref, key=lambda blk: blk[0][0])):
+        assert all(u.shape == v.shape and u.tobytes() == v.tobytes() for u, v in zip(a, b))
+    z = np.random.default_rng(layer.rows).standard_normal((3, layer.cols))
+    mag = np.abs(z) @ np.abs(want).T + np.abs(layer.bias)
+    got = realize(Network((layer,)), RELU, z)
+    assert np.all(np.abs(got - (z @ want.T + layer.bias)) <= 1e-12 * mag)
+
+
 @given(st.integers(0, 2**32 - 1), st.integers(0, 2), st.integers(1, 12))
 def test_stacks_keep_the_block_diagonal_bits_and_plan(seed, depth, copies):
     rng = np.random.default_rng(seed)
     pieces = [random_stack(rng, depth) for _ in range(copies)]
     layer = Layer.stack([p for p, _ in pieces])
     want = block_diagonal([m for _, m in pieces])
-    plan = layer._block_plan  # from the parts, before any matrix is filled
+    plan = layer._block_plan  # from the leaves, before any matrix is filled
     assert "weights" not in vars(layer)
     assert layer.weights.shape == want.shape and layer.weights.tobytes() == want.tobytes()
     assert layer.weights.flags.c_contiguous and not layer.weights.flags.writeable
+    entries = layer.rows * layer.cols
+    cells = sum(block.size for _, _, block in leaf_blocks(layer))
+    if entries >= _STACK_MIN_ENTRIES and cells * _BLOCK_MAX_DENSITY <= entries:
+        check_stack_plan(layer, want)
+        return
+    # too small or too dense for its leaves' blocks: planned as its dense twin
     dense = Layer(layer.weights, layer.bias)
     if plan is None:
         assert dense._block_plan is None
@@ -1069,12 +1117,67 @@ def test_stacks_keep_the_block_diagonal_bits_and_plan(seed, depth, copies):
 
 def test_random_stacks_fall_on_both_sides_of_the_plan_threshold():
     # the property above draws its stacks this way, from 1 to 12 copies
-    planned = {
-        Layer.stack([random_stack(np.random.default_rng(seed), 1)[0] for _ in range(copies)])
-        ._block_plan is not None
-        for seed in range(2) for copies in (1, 12)
-    }
-    assert planned == {False, True}
+    def fate(seed, copies):
+        layer = Layer.stack([random_stack(np.random.default_rng(seed), 0)[0] for _ in range(copies)])
+        if layer.rows * layer.cols < _STACK_MIN_ENTRIES:
+            return "small"
+        return "dense" if layer._block_plan is None else "planned"
+
+    assert {fate(seed, copies) for seed in range(12) for copies in (1, 12)} == {
+        "small", "dense", "planned"}
+
+
+def test_a_stack_plans_a_large_sparse_coo_leaf_by_its_components(rng):
+    small, w = random_leaf(rng)
+    # 64 blocks of 4 x 4 with their rows and columns shuffled
+    blocks = np.kron(np.eye(64), np.ones((4, 4))) * rng.standard_normal((256, 256))
+    sparse = Layer(blocks[rng.permutation(256)][:, rng.permutation(256)], rng.standard_normal(256))
+    coo = deserialize(serialize(Network((sparse,)))).layers[0]
+    assert coo.form == "entries" and [b.shape for _, _, b in coo._block_plan] == [(64, 4, 4)]
+    layer = Layer.stack([small, Layer.stack([coo, small])])
+    check_stack_plan(layer, block_diagonal([w, sparse.weights, w]))
+    # the leaf's components, at the leaf's offsets, are among the stack's blocks
+    inside = [block.shape for row_ids, _, blocks in layer._block_plan
+              for first, block in zip(row_ids[:, 0], blocks)
+              if small.rows <= first < small.rows + coo.rows]
+    assert inside == [(4, 4)] * 64
+
+
+def test_a_stack_whose_leaves_fill_it_is_planned_by_its_components(rng):
+    # five 60 x 60 leaves at 2% nonzeros: 90,000 entries, 18,000 cells in
+    # leaves, too many for a plan from leaves but not from components
+    leaves = [Layer(rng.standard_normal((60, 60)) * (rng.random((60, 60)) < 0.02),
+                    rng.standard_normal(60)) for _ in range(5)]
+    layer = Layer.stack(leaves)
+    assert layer.rows * layer.cols >= _BLOCK_MIN_ENTRIES
+    assert sum(leaf.rows * leaf.cols for leaf in leaves) * _BLOCK_MAX_DENSITY > layer.rows * layer.cols
+    plan = layer._block_plan
+    assert plan is not None and "weights" not in vars(layer)
+    check_block_plan(layer)
+    dense = Layer(layer.weights, layer.bias)
+    for got, ref in zip(plan, dense._block_plan, strict=True):
+        assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, ref))
+
+
+def test_a_loaded_net_agrees_with_the_built_one(rng):
+    # a built stack is planned from its leaves, the loaded COO layers by
+    # their components or by the plain product, so outputs need not be
+    # bit-equal
+    drift = random_net(rng, 2, 2, 2, width_hi=3, scale=0.7)
+    net = spacetime_net(EulerSpec(drift, 1.0, 4, tuple(0.4 * rng.standard_normal((4, 2))), 1e-2, 3.0))
+    loaded = deserialize(serialize(net))
+    assert any(layer._block_plan is not None for layer in net.layers)
+    x = np.column_stack([rng.uniform(0.0, 1.0, 40), rng.uniform(-2.0, 2.0, (40, 2))])
+    for points in (x, x[0]):
+        want, mag = dense_reference(net, RELU, points)
+        got = np.atleast_2d(realize(loaded, RELU, points))
+        assert np.all(np.abs(got - np.atleast_2d(realize(net, RELU, points))) <= 1e-12 * mag)
+        assert np.all(np.abs(got - want) <= 1e-12 * mag)
+
+
+def test_index_arrays_of_int64_are_kept_without_a_copy():
+    a = np.array([0, 3, 4])
+    assert a.dtype == np.int64 and _index_array(a, "rows", 5) is a
 
 
 def test_realize_fills_no_matrix_of_a_planned_spacetime_layer(rng):

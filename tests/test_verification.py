@@ -312,3 +312,11 @@ def test_a_nan_bound_fails_its_sweep_row(nan_in):
         assert math.isnan(row.measured) == (kind == nan_in)
         assert row.passed == (kind != nan_in)
     assert not report.all_pass
+
+
+def test_suite_reports_are_byte_identical_at_1_and_2_blas_threads(suite_hash_runs):
+    # two fresh processes, started with the session (conftest.SUITE_HASHES);
+    # last in the file, so they have had the whole session to finish
+    one, two = (run.communicate(timeout=120)[0].splitlines() for run in suite_hash_runs.values())
+    assert [run.returncode for run in suite_hash_runs.values()] == [0, 0]
+    assert len(one) == 2 * len(anncalc.SUITES) and one == two
