@@ -16,6 +16,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -39,6 +40,7 @@ from .ops import (
     IdentityEmulator,
     compose,
     concat_identity,
+    extend,
     parallel_general,
     relu_identity,
     sum_general,
@@ -142,8 +144,17 @@ def residual_step(phi1: Network, phi2: Network, emulator: IdentityEmulator) -> N
 
 
 def _residual_link(phi: Network, psi: Network, emulator: IdentityEmulator) -> Network:
-    """The one residual formula: the ANN sum of phi and (I, 0) after psi."""
-    return compose(sum_general([phi, affine(np.eye(emulator.dim))], emulator), psi)
+    """The one residual formula: the ANN sum of phi and (I, 0) after psi.
+
+    The carry, (I, 0) already padded to phi's depth, is shared by every link
+    of that depth, so ``sum_general`` pads only phi.
+    """
+    return compose(sum_general([phi, _carry(emulator, phi.depth)], emulator), psi)
+
+
+@lru_cache(maxsize=16)
+def _carry(emulator: IdentityEmulator, depth: int) -> Network:
+    return extend(depth, emulator, affine(np.eye(emulator.dim)))
 
 
 def residual_chain(
@@ -337,6 +348,8 @@ def spacetime_param_bound(spec: EulerSpec) -> float:
 def _check_non_negative(what: str, name: str, value) -> None:
     if not (_is_real(value) and value >= 0.0):
         raise DomainError(f"{what} must be non-negative, got {name}={value!r}")
+    if not math.isfinite(value):
+        raise DomainError(f"{what} must be finite, got {name}={value!r}")
 
 
 @dataclass(frozen=True)
@@ -346,6 +359,7 @@ class GrowthBoundInputs:
     C, c: affine growth constants of the drift, ||mu(x)|| <= C + c ||x||.
     step_norms: operator norms of the step matrices A_1 ... A_N.
     y_partial_max: entry n is max over m <= n of ||sum_{k<=m} y_k||.
+    Each must be a finite, non-negative real number (DomainError).
     """
 
     C: float
@@ -368,9 +382,13 @@ class GrowthBoundInputs:
 
     @classmethod
     def from_steps(cls, C, c, matrices, y) -> "GrowthBoundInputs":
+        for name, value in (("C", C), ("c", c)):
+            _check_non_negative("growth constants", name, value)
+        mats = [_numbers(a, f"matrices[{k}]") for k, a in enumerate(matrices)]
+        # a matrix with a non-finite entry has no finite norm; inf is refused below
         norms = tuple(
-            float(np.linalg.norm(_numbers(a, f"matrices[{k}]"), ord=2))
-            for k, a in enumerate(matrices)
+            float(np.linalg.norm(a, ord=2)) if np.isfinite(a).all() else math.inf
+            for a in mats
         )
         maxima = [0.0]
         partial = 0.0

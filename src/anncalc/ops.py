@@ -67,13 +67,18 @@ def power(phi: Network, n: int) -> Network:
     n = 0 gives (I, 0); a positive power starts from ``phi`` itself, so no
     power carries (I, 0) and n = 1 returns ``phi``.  Every fusion of a
     deeper ``phi`` is the same layer, built once and repeated; a one-layer
-    ``phi`` composes n - 1 times, each fusion with the power so far.
+    ``phi`` composes n - 1 times, each fusion with the power so far.  A
+    power of more layers than the file reader's cap of 2**27 is refused.
     """
     if not _is_int(n) or n < 0:
         raise ShapeError(f"power needs an integer n >= 0, got {n!r}")
     if phi.input_dim != phi.output_dim:
         raise ShapeError(
             f"power needs a square network, got I={phi.input_dim}, O={phi.output_dim}"
+        )
+    if n * (phi.depth - 1) + 1 > _MAX_LAYER_ENTRIES:
+        raise ShapeError(
+            f"power n={n} of a depth-{phi.depth} network has over {_MAX_LAYER_ENTRIES} layers"
         )
     if n == 0:
         return affine(np.eye(phi.output_dim))
@@ -222,15 +227,15 @@ def sum_general(
 
     A fan-out copies the input to every network, ``emulator`` (canonical
     ReLU by default) extends each to the common depth, and a fan-in adds the
-    outputs with weights ``h``, which must be finite real numbers.
+    outputs with weights ``h``, which must be finite real numbers.  The
+    fan-out and the unit fan-in of ``h=None`` are immutable, so each is built
+    once per shape and shared between sums; a weighted fan-in is built anew.
     """
     if not nets:
         raise ShapeError("sum needs at least one network")
-    if h is None:
-        h = [1.0] * len(nets)
-    if len(h) != len(nets):
+    if h is not None and len(h) != len(nets):
         raise ShapeError(f"got {len(nets)} networks but {len(h)} weights")
-    for k, hk in enumerate(h):
+    for k, hk in enumerate(() if h is None else h):
         if not (_is_real(hk) and math.isfinite(hk)):
             raise DomainError(f"sum weights must be finite real numbers, got h[{k}]={hk!r}")
     d_in = {net.input_dim for net in nets}
@@ -247,10 +252,17 @@ def sum_general(
         raise ShapeError(
             f"sum emulator acts on {emulator.dim} components but the networks produce {out_dim}"
         )
-    fan_in = affine(np.hstack([float(hm) * np.eye(out_dim) for hm in h]))
-    fan_out = affine(np.vstack([np.eye(d_in.pop())] * len(nets)))
+    fan_in = (_unit_fan(out_dim, len(nets), np.hstack) if h is None
+              else affine(np.hstack([float(hm) * np.eye(out_dim) for hm in h])))
     stacked = parallel_general(nets, [emulator] * len(nets))
-    return compose(fan_in, compose(stacked, fan_out))
+    return compose(fan_in, compose(stacked, _unit_fan(d_in.pop(), len(nets), np.vstack)))
+
+
+@lru_cache(maxsize=32, typed=True)
+def _unit_fan(d: int, count: int, join) -> Network:
+    """``count`` copies of I_d, joined by ``np.vstack`` (a fan-out) or
+    ``np.hstack`` (the unit fan-in)."""
+    return affine(join([np.eye(d)] * count))
 
 
 def concat_identity(phi1: Network, emulator: IdentityEmulator, phi2: Network) -> Network:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import anncalc.euler
+import anncalc.ops
 from anncalc import (
     ApproxSpec,
     DomainError,
@@ -40,6 +41,7 @@ from anncalc import (
     residual_step,
     scalar_vector_product,
     scaling_bounds,
+    serialize,
     scaling_constant,
     spacetime_net,
     spacetime_param_bound,
@@ -125,6 +127,35 @@ def test_residual_step_is_one_sum_general(rng, monkeypatch, d, L1, L2):
     phi1, phi2 = random_net(rng, d, d, L1), random_net(rng, d, d, L2)
     assert same_bytes(residual_step(phi1, phi2, emu), _fan_residual_step(phi1, phi2, emu))
     assert len(calls) == 1
+
+
+def test_two_builds_of_a_chain_share_the_carry_layers(rng):
+    # each depth-3 link keeps one stack, of phi's middle layer and the carry's
+    emu = relu_identity(2)
+    phis = [random_net(rng, 2, 2, 3)] * 3
+    carried = [
+        layer._parts[1]
+        for net in (residual_chain(emu.net, phis, emu) for _ in range(2))
+        for layer in net.layers
+        if layer.form == "stack"
+    ]
+    assert len(carried) == 6
+    assert all(part is carried[0] for part in carried)
+
+
+def test_shared_parts_give_the_same_bytes_cold_and_warm(rng):
+    spec = make_spec(rng, 2, 4, 3, eps=1e-1)
+
+    def build():
+        nets = [euler_space_net(spec, n) for n in range(spec.N + 1)] + [spacetime_net(spec)]
+        return [serialize(net) for net in nets]
+
+    helpers = (anncalc.euler._carry, anncalc.ops._unit_fan)
+    for helper in helpers:
+        helper.cache_clear()
+    cold = build()
+    assert build() == cold
+    assert all(helper.cache_info().hits > 0 for helper in helpers)
 
 
 def test_residual_step_needs_depth_two(rng):
@@ -498,6 +529,44 @@ def test_gronwall_bound_rejects_bad_inputs(args, x_norm, match):
 )
 def test_growth_bound_inputs_from_steps_take_numbers_only(matrices, y, what):
     with pytest.raises(DomainError, match=rf"^{re.escape(what)} must hold integers or floats"):
+        GrowthBoundInputs.from_steps(1.0, 1.0, matrices, y)
+
+
+@pytest.mark.parametrize(
+    "C", [True, "1.5", None, 10**400, math.inf, -math.inf],
+    ids=["bool", "string", "none", "int_past_float", "inf", "minus_inf"],
+)
+def test_growth_bound_inputs_from_steps_check_growth_constants_before_converting(C):
+    for args in ((C, 1.0), (1.0, C)):
+        with pytest.raises(DomainError, match="^growth constants must be"):
+            GrowthBoundInputs.from_steps(*args, [np.eye(1)], [[0.5]])
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [((1.0, math.inf, (0.0,), (0.0, 1.0)), "^growth constants must be finite, got c=inf"),
+     ((math.inf, 1.0, (0.0,), (0.0, 1.0)), "^growth constants must be finite, got C=inf"),
+     ((1.0, 1.0, (math.inf,), (0.0, 1.0)),
+      r"^operator norms must be finite, got step_norms\[0\]=inf"),
+     ((1.0, 1.0, (0.0,), (0.0, math.inf)),
+      r"^partial-sum maxima must be finite, got y_partial_max\[1\]=inf")],
+    ids=["c_inf", "C_inf", "step_norm_inf", "y_partial_inf"],
+)
+def test_growth_bound_inputs_refuse_infinities(args, match):
+    # an infinite c made gronwall_bound(., 1.0, 0) return inf * 0.0 = nan
+    with pytest.raises(DomainError, match=match):
+        GrowthBoundInputs(*args)
+
+
+@pytest.mark.parametrize(
+    "matrices, y, match",
+    [([[[math.inf]]], [[0.5]], r"step_norms\[0\]=inf"),
+     ([np.eye(1), [[math.nan]]], [[0.5], [0.5]], r"step_norms\[1\]=inf"),
+     ([np.eye(1)], [[math.inf]], r"y_partial_max\[1\]=inf")],
+    ids=["inf_matrix", "nan_matrix", "inf_y"],
+)
+def test_growth_bound_inputs_from_steps_refuse_non_finite_steps(matrices, y, match):
+    with pytest.raises(DomainError, match=match):
         GrowthBoundInputs.from_steps(1.0, 1.0, matrices, y)
 
 

@@ -26,6 +26,7 @@ from anncalc import (
     power,
     realize,
     relu_identity,
+    serialize,
     sum_equal,
     sum_general,
 )
@@ -144,6 +145,14 @@ def test_power_accepts_numpy_integers():
 def test_power_requires_square(rng):
     with pytest.raises(ShapeError):
         power(random_net(rng, 2, 3, 1), 2)
+
+
+@pytest.mark.parametrize("n", [2**61, 2**63])
+def test_power_and_extend_refuse_more_layers_than_the_file_cap(n):
+    with pytest.raises(ShapeError, match=f"^power n={n} of a depth-2 network has over 134217728"):
+        power(identity_net(1), n)
+    with pytest.raises(ShapeError, match=f"^power n={n - 2} of a depth-2 network has over"):
+        extend(n, relu_identity(1), identity_net(1))
 
 
 def test_extend_by_zero_is_bit_identical(rng):
@@ -423,6 +432,22 @@ def test_sum_equal_is_sum_general_with_bytes_of_the_fan_formula(rng, monkeypatch
         want = compose(fan_in, compose(parallel_equal(nets), fan_out))
         assert same_bytes(sum_equal(nets, h), want)
     assert len(calls) == 2
+
+
+def test_unit_fans_are_shared_and_weighted_fan_ins_are_not(rng, monkeypatch):
+    calls = spy(monkeypatch, anncalc.ops, "compose")
+    nets = [random_net(rng, 2, 3, 2) for _ in range(2)]
+    unit = serialize(sum_general(nets))
+    assert serialize(sum_general(nets, h=[1.0, 1.0])) == unit
+    sum_general(nets)
+    # sum_general composes the stack after the fan-out, then the fan-in after that
+    (_, fan_out_a), (fan_in_a, _), (_, fan_out_b), (fan_in_b, _) = calls[:2] + calls[-2:]
+    assert fan_out_a is fan_out_b and fan_in_a is fan_in_b
+    sum_general(nets, h=[1.0, 0.0])
+    signed = sum_general(nets, h=[1.0, -0.0])
+    fan_in = calls[-1][0].layers[0].weights
+    assert np.signbit(fan_in[:, 3:]).all() and not np.signbit(fan_in[:, :3]).any()
+    assert serialize(signed) != unit
 
 
 def test_sum_general_single_net(rng):
