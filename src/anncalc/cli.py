@@ -65,7 +65,7 @@ def _scheme_numbers(doc: dict, field: str, ndim: int) -> np.ndarray:
 
 def _load_euler_spec(path, eps=None, q=None) -> EulerSpec:
     with open(path, "rb") as fh:
-        _, doc = _strict_json(fh.read(), "scheme file")
+        doc = _strict_json(fh.read(), "scheme file")
     if not isinstance(doc, dict):
         raise ParseError("a scheme file must hold a JSON object")
     if not isinstance(doc["drift"], str):

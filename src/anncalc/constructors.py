@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import (
-    DomainError, Layer, Network, ShapeError, _is_int, _is_real, _numbers, affine,
+    _MAX_LAYER_ENTRIES, DomainError, Layer, Network, ShapeError, _is_int, _is_real, _numbers,
+    affine,
 )
 from .ops import compose, parallel_equal
 
@@ -194,8 +195,13 @@ def scalar_vector_product(spec: ApproxSpec) -> Network:
     product net; the error is bounded by
     epsilon * (sqrt(d) max(1, |t|^q) + ||x||^q).
     """
-    d = spec.d
+    d = int(spec.d)
     prod = product_net(ApproxSpec(spec.epsilon, spec.q))
+    # composing the route fills the (rows * d, 2d) matrix of the stacked first layers
+    if prod.layers[0].rows * d * 2 * d > _MAX_LAYER_ENTRIES:
+        raise DomainError(
+            f"scalar_vector_product at d={d} has over {_MAX_LAYER_ENTRIES} entries in a layer"
+        )
     route = np.zeros((2 * d, d + 1))
     for j in range(d):
         route[2 * j, 0] = 1.0

@@ -392,9 +392,12 @@ class GrowthBoundInputs:
         )
         maxima = [0.0]
         partial = 0.0
-        for k, v in enumerate(y):
-            partial = partial + _numbers(v, f"y[{k}]")
-            maxima.append(max(maxima[-1], float(np.linalg.norm(partial))))
+        # a sum or norm past the float range is inf, and a NaN stays NaN,
+        # so both are refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, v in enumerate(y):
+                partial = partial + _numbers(v, f"y[{k}]")
+                maxima.append(float(np.maximum(maxima[-1], np.linalg.norm(partial))))
         return cls(float(C), float(c), norms, tuple(maxima))
 
 
@@ -403,13 +406,23 @@ def gronwall_bound(inputs: GrowthBoundInputs, x_norm: float, n: int) -> float:
 
         (||x|| + C sum_{k<=n} |||A_k||| + max_{m<=n} ||sum_{k<=m} y_k||)
             * exp(c sum_{k<=n} |||A_k|||).
+
+    A bound past the float range raises DomainError naming its inputs.
     """
     if not (_is_real(x_norm) and math.isfinite(x_norm) and x_norm >= 0.0):
         raise DomainError(f"x_norm must be finite and non-negative, got {x_norm!r}")
     if not _is_int(n) or not 0 <= n <= len(inputs.step_norms):
         raise DomainError(f"step index {n!r} not in [0, {len(inputs.step_norms)}]")
     s = float(sum(inputs.step_norms[:n]))
-    return (x_norm + inputs.C * s + inputs.y_partial_max[n]) * math.exp(inputs.c * s)
+    bound = math.inf
+    if inputs.c * s <= _LOG_FLOAT_MAX:
+        bound = (x_norm + inputs.C * s + inputs.y_partial_max[n]) * math.exp(inputs.c * s)
+    if not math.isfinite(bound):
+        raise DomainError(
+            f"the growth bound overflows at C={inputs.C!r}, c={inputs.c!r}, step norm sum "
+            f"{s!r}, x_norm={x_norm!r}, y_partial_max[{n}]={inputs.y_partial_max[n]!r}"
+        )
+    return bound
 
 
 def scaling_constant(growth_c: float, T: float) -> float:

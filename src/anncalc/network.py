@@ -49,8 +49,6 @@ Each distinct number of a long list is formatted once, and the text is what
     {"layout": "coo", "layers": [{"shape": [r, c], "rows": [...],
      "cols": [...], "values": [...], "bias": [...]}, ...]}
 
-:func:`deserialize` also reads the older dense layout, a document with no
-``layout`` key whose layers are ``{"weights": [[...]], "bias": [...]}``.
 A COO layer may declare at most 2**27 weight entries.
 """
 
@@ -649,14 +647,14 @@ def _reject_constant(token: str):
     raise ParseError(f"{token} is not a JSON number")
 
 
-def _strict_json(data: bytes | str, what: str, hook=None) -> tuple[str, object]:
-    """The text of ``data`` and its strict JSON document; ParseError naming
-    ``what`` unless it is UTF-8 text of valid JSON without NaN or Infinity.
+def _strict_json(data: bytes | str, what: str, hook=None) -> object:
+    """The strict JSON document of ``data``; ParseError naming ``what``
+    unless it is UTF-8 text of valid JSON without NaN or Infinity.
     ``hook(text)``, if given, makes the parser's ``object_hook``."""
     try:
         text = data.decode("utf-8") if isinstance(data, bytes) else data
-        return text, json.loads(text, parse_constant=_reject_constant,
-                                object_hook=hook(text) if hook else None)
+        return json.loads(text, parse_constant=_reject_constant,
+                          object_hook=hook(text) if hook else None)
     except (ValueError, RecursionError) as exc:
         # bytes that are not UTF-8, a JSONDecodeError, a NaN or Infinity token,
         # an integer literal longer than int() converts, or too deep a nesting
@@ -666,7 +664,7 @@ def _strict_json(data: bytes | str, what: str, hook=None) -> tuple[str, object]:
 def _finite_floats(raw, what: str) -> np.ndarray:
     """A list of a network file as a finite float64 array, by :func:`_numbers`
     judging the array by its dtype (deserialize has boxed any bool)."""
-    a = _numbers(_array(raw, what), what)
+    a = _numbers(raw, what)
     if not np.isfinite(a).all():
         raise ValueError(f"{what} must hold only finite numbers")
     return a
@@ -723,15 +721,6 @@ def _coo_layer(raw, inputs: int | None) -> Layer:
     return Layer._trusted(r, c, bias, _entries=(rows, cols, values))
 
 
-def _dense_layer(raw) -> Layer:
-    """The layer of one dense entry, ValueError naming the rule it breaks."""
-    if not isinstance(raw, dict) or "weights" not in raw or "bias" not in raw:
-        raise ValueError("missing 'weights' or 'bias'")
-    # pop, so the parsed floats of a layer go once it is converted
-    weights = _finite_floats(raw.pop("weights"), "weights")
-    return Layer(weights, _finite_floats(raw.pop("bias"), "bias"))
-
-
 def _layer_arrays(text: str) -> Callable[[dict], dict]:
     """The ``object_hook`` that makes each number list an array as the parser
     closes its object, so only one layer's Python numbers are alive at once;
@@ -741,7 +730,7 @@ def _layer_arrays(text: str) -> Callable[[dict], dict]:
     spells_bool = "true" in text or "false" in text
 
     def arrays(obj: dict) -> dict:
-        for key in ("rows", "cols", "values", "bias", "weights"):
+        for key in ("rows", "cols", "values", "bias"):
             v = obj.get(key)
             with suppress(ValueError, RecursionError):
                 if spells_bool and _holds_bool(v):
@@ -754,24 +743,20 @@ def _layer_arrays(text: str) -> Callable[[dict], dict]:
 
 
 def deserialize(data: bytes | str) -> Network:
-    """Parse a serialized network, COO or dense, reporting the offending layer on failure."""
-    _, doc = _strict_json(data, "document", _layer_arrays)
+    """Parse a serialized network, reporting the offending layer on failure."""
+    doc = _strict_json(data, "document", _layer_arrays)
     if not isinstance(doc, dict) or "layers" not in doc:
         raise ParseError("document has no 'layers' field")
-    if "layout" in doc and doc["layout"] != "coo":
-        layout = _strict_json(data, "document")[1]["layout"]  # as written, without arrays
+    if doc.get("layout") != "coo":
+        layout = _strict_json(data, "document").get("layout")  # as written, without arrays
         raise ParseError(f"unknown layout {layout!r}; the one layout is 'coo'")
-    coo = "layout" in doc
     raw_layers = doc["layers"]
     if not isinstance(raw_layers, list) or not raw_layers:
         raise ParseError("'layers' must be a non-empty list")
     layers = []
     for k, raw in enumerate(raw_layers):
         try:
-            if coo:
-                layers.append(_coo_layer(raw, layers[-1].rows if layers else None))
-            else:
-                layers.append(_dense_layer(raw))
+            layers.append(_coo_layer(raw, layers[-1].rows if layers else None))
         except (ShapeError, ValueError) as exc:
             raise ParseError(f"layer {k}: {exc}") from exc
     try:

@@ -55,6 +55,14 @@ def test_build_rejects_bad_eps(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_build_refuses_a_scalvec_past_the_layer_cap(tmp_path, capsys):
+    out = tmp_path / "sv.ann.json"
+    assert run("build", "--kind", "scalvec", "--d", 5000, "-o", out) == 1
+    assert capsys.readouterr() == ("", "error: scalar_vector_product at d=5000 has over "
+                                       "134217728 entries in a layer\n")
+    assert not out.exists()
+
+
 def test_build_square_unit_at_smallest_subnormal_eps(tmp_path):
     out = tmp_path / "sq.ann.json"
     assert run("build", "--kind", "square-unit", "--eps", "5e-324", "-o", out) == 0
@@ -202,14 +210,15 @@ def test_info_format(tmp_path, capsys):
 
 
 def strict_json(text):
-    return _strict_json(text, "info output")[1]
+    return _strict_json(text, "info output")
 
 
 def test_info_layers_of_a_tiny_net(tmp_path, capsys):
     net = tmp_path / "id.ann.json"
     run("build", "--kind", "identity", "--d", 2, "-o", net)
-    dense = tmp_path / "dense.ann.json"
-    dense.write_text('{"layers": [{"weights": [[1.0, 0.0], [0.0, -0.0]], "bias": [0.5, 0.0]}]}')
+    tiny = tmp_path / "tiny.ann.json"
+    tiny.write_text('{"layout": "coo", "layers": [{"shape": [2, 2], "rows": [0, 1], '
+                    '"cols": [0, 1], "values": [1.0, -0.0], "bias": [0.5, 0.0]}]}')
     capsys.readouterr()
     assert run("info", net, "--layers") == 0
     lines = capsys.readouterr().out.splitlines()
@@ -220,12 +229,13 @@ def test_info_layers_of_a_tiny_net(tmp_path, capsys):
         ["0", "entries", "4", "2", "4", "0.5", "no", "0", "-"],
         ["1", "entries", "2", "4", "4", "0.5", "no", "0", "-"],
     ]
-    assert run("info", dense, "--layers", "--json") == 0
+    # the -0.0 entry is kept and is no nonzero
+    assert run("info", tiny, "--layers", "--json") == 0
     doc = strict_json(capsys.readouterr().out)
     assert doc["dims"] == [2, 2] and doc["P"] == 6
-    assert doc["layers"] == [{"layer": 0, "form": "dense", "rows": 2, "cols": 2, "nonzeros": 1,
+    assert doc["layers"] == [{"layer": 0, "form": "entries", "rows": 2, "cols": 2, "nonzeros": 1,
                               "density": 0.25, "planned": False, "blocks": 0, "groups": []}]
-    assert run("info", dense, "--json") == 0
+    assert run("info", tiny, "--json") == 0
     assert strict_json(capsys.readouterr().out) == {
         "dims": [2, 2], "L": 1, "H": 0, "P": 6, "I": 2, "O": 2}
 

@@ -562,12 +562,28 @@ def test_growth_bound_inputs_refuse_infinities(args, match):
     "matrices, y, match",
     [([[[math.inf]]], [[0.5]], r"step_norms\[0\]=inf"),
      ([np.eye(1), [[math.nan]]], [[0.5], [0.5]], r"step_norms\[1\]=inf"),
-     ([np.eye(1)], [[math.inf]], r"y_partial_max\[1\]=inf")],
-    ids=["inf_matrix", "nan_matrix", "inf_y"],
+     ([np.eye(1)], [[math.inf]], r"y_partial_max\[1\]=inf"),
+     # numpy warned of the overflow, and max() dropped the NaN
+     ([np.eye(1)] * 2, [[1e308], [1e308]], r"y_partial_max\[1\]=inf"),
+     ([np.eye(1)], [[math.nan]], r"y_partial_max\[1\]=nan")],
+    ids=["inf_matrix", "nan_matrix", "inf_y", "overflowing_y", "nan_y"],
 )
 def test_growth_bound_inputs_from_steps_refuse_non_finite_steps(matrices, y, match):
     with pytest.raises(DomainError, match=match):
         GrowthBoundInputs.from_steps(1.0, 1.0, matrices, y)
+
+
+@pytest.mark.parametrize(
+    "args, n",
+    [((1.0, 1000.0, (1.0,), (0.0, 0.0)), 1), ((1.0, 0.0, (1e308, 1e308), (0.0, 0.0, 0.0)), 2),
+     ((1e308, 0.0, (1e308,), (0.0, 0.0)), 1)],
+    ids=["exp_overflows", "step_norm_sum_overflows", "sum_term_overflows"],
+)
+def test_gronwall_bound_refuses_a_bound_past_the_float_range(args, n):
+    # these raised OverflowError, returned nan and returned inf
+    head = f"the growth bound overflows at C={args[0]!r}, c={args[1]!r}, step norm sum"
+    with pytest.raises(DomainError, match="^" + re.escape(head)):
+        gronwall_bound(GrowthBoundInputs(*args), 0.0, n)
 
 
 @pytest.mark.parametrize("y", [5, 1.0, None, np.float64(0.5)])

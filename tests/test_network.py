@@ -343,6 +343,11 @@ _UNALLOCATABLE_SIZES = {
     "halton": (lambda: halton(2**62, 1), DomainError, "halton(4611686018427387904, 1)"),
     "halton_without_coordinates": (lambda: halton(2**64 - 1, 0), DomainError, "halton("),
     "halton_past_the_cap": (lambda: halton(2**26 + 1, 2), DomainError, "halton(67108865, 2)"),
+    "scalvec": (lambda: scalar_vector_product(ApproxSpec(0.5, 3.0, 2**62)), DomainError,
+                "scalar_vector_product at d=4611686018427387904 has over 134217728 entries"),
+    # 24 * 1673 rows by 2 * 1673 columns in the stacked first layers
+    "scalvec_past_the_cap": (lambda: scalar_vector_product(ApproxSpec(0.5, 3.0, 1673)),
+                             DomainError, "scalar_vector_product at d=1673"),
     "tent_g": (lambda: tent_g(2**40, 0.5), DomainError, "tent_g needs n below 1024"),
     "tent_g_first_overflow": (lambda: tent_g(1024, 0.5), DomainError,
                               "tent_g needs n below 1024, where 2^n overflows a float, got 1024"),
@@ -398,7 +403,8 @@ def test_deserialize_rejects_non_utf8_bytes():
 
 
 def test_deserialize_names_offending_layer():
-    doc = b'{"layers": [{"weights": [[1.0, 2.0], [3.0, 4.0]], "bias": [0.0, 0.0, 0.0]}]}'
+    doc = (b'{"layout": "coo", "layers": [{"shape": [2, 2], "rows": [0, 0, 1, 1], '
+           b'"cols": [0, 1, 0, 1], "values": [1.0, 2.0, 3.0, 4.0], "bias": [0.0, 0.0, 0.0]}]}')
     with pytest.raises(ParseError, match="layer 0"):
         deserialize(doc)
 
@@ -411,30 +417,31 @@ def test_deserialize_rejects_malformed_documents():
     with pytest.raises(ParseError):
         deserialize(b"{}")
     with pytest.raises(ParseError):
-        deserialize(b'{"layers": []}')
-    with pytest.raises(ParseError, match="layer 0: missing 'weights' or 'bias'"):
-        deserialize(b'{"layers": [{"bias": [0.0]}]}')
+        deserialize(b'{"layout": "coo", "layers": []}')
+    with pytest.raises(ParseError, match="layer 0: missing 'shape', 'rows', 'cols', 'values'$"):
+        deserialize(b'{"layout": "coo", "layers": [{"bias": [0.0]}]}')
     # layers that do not chain
     doc = (
-        b'{"layers": [{"weights": [[1.0]], "bias": [0.0]},'
-        b' {"weights": [[1.0, 2.0]], "bias": [0.0]}]}'
+        b'{"layout": "coo", "layers": [{"shape": [1, 1], "rows": [0], "cols": [0], '
+        b'"values": [1.0], "bias": [0.0]}, {"shape": [1, 2], "rows": [0, 0], "cols": [0, 1], '
+        b'"values": [1.0, 2.0], "bias": [0.0]}]}'
     )
     with pytest.raises(ParseError):
         deserialize(doc)
 
 
 @pytest.mark.parametrize(
-    "layer, what",
+    "fields, what",
     [
-        ('{"weights": [[1.0], [0.5, 1.0]], "bias": [0.0, 0.0]}', "weights"),
-        ('{"weights": [[1.0], [0.5]], "bias": [[0.0], [0.0, 1.0]]}', "bias"),
+        ({"values": "[[3.0], [4.0, 1.0]]"}, "values"),
+        ({"bias": "[[0.0], [0.0, 1.0]]"}, "bias"),
     ],
     ids=["weights", "bias"],
 )
-def test_deserialize_names_a_ragged_list(layer, what):
+def test_deserialize_names_a_ragged_list(fields, what):
     with pytest.raises(ParseError) as exc:
-        deserialize('{"layers": [%s]}' % layer)
-    assert str(exc.value).startswith(f"layer 0: {what} must be rectangular: ")
+        deserialize(coo_doc(**fields))
+    assert str(exc.value).startswith(f"layer 1: {what} must be rectangular: ")
 
 
 @pytest.mark.parametrize(
@@ -450,11 +457,10 @@ def test_deserialize_names_a_ragged_list(layer, what):
     ],
 )
 def test_deserialize_rejects_non_numbers(weights, bias):
-    first = '{"weights": [[1.0], [2.0]], "bias": [0.0, 0.0]}'
-    doc = '{"layers": [%s, {"weights": %s, "bias": %s}]}' % (first, weights, bias)
-    assert deserialize(doc.replace(weights, "[[1.0, 0.5]]").replace(bias, "[0.0]")).depth == 2
+    # layer 1 is 1 x 2, so the one row of its weight matrix is its COO values
+    assert deserialize(coo_doc(values="[1.0, 0.5]", bias="[0.0]")).depth == 2
     with pytest.raises(ParseError, match="layer 1"):
-        deserialize(doc)
+        deserialize(coo_doc(values=weights[1:-1], bias=bias))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -538,7 +544,7 @@ def test_serialize_writes_what_json_dumps_writes_for_large_stacks():
 
 
 def test_deserialize_rejects_integer_literals_too_long_to_convert():
-    doc = '{"layers": [{"weights": [[%s]], "bias": [0.0]}]}' % ("1" * 5000)
+    doc = coo_doc(values="[%s, 4.0]" % ("1" * 5000))
     # Python refuses to convert the literal with a plain ValueError
     with pytest.raises(ParseError):
         deserialize(doc)
@@ -546,7 +552,7 @@ def test_deserialize_rejects_integer_literals_too_long_to_convert():
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
 def test_deserialize_rejects_non_finite_tokens(token):
-    doc = '{"layers": [{"weights": [[%s]], "bias": [0.0]}]}' % token
+    doc = coo_doc(values="[%s, 4.0]" % token)
     with pytest.raises(ParseError, match=token):
         deserialize(doc)
 
@@ -571,12 +577,6 @@ def test_serialize_round_trip_random_networks(shape, seed):
     assert networks_equal(net, deserialize(serialize(net)))
 
 
-def dense_serialize(net):
-    # independent writer of the dense layout that earlier versions wrote
-    layers = [{"weights": la.weights.tolist(), "bias": la.bias.tolist()} for la in net.layers]
-    return json.dumps({"layers": layers})
-
-
 @pytest.mark.parametrize(
     "net", [identity_net(2), square_unit(2.0**-10)], ids=["identity", "square"]
 )
@@ -584,7 +584,8 @@ def test_serialize_round_trip_keeps_raw_bytes(net):
     assert same_bytes(net, deserialize(serialize(net)))
 
 
-# serialize(identity_net(2)) as the dense layout wrote it, kept verbatim
+# serialize(identity_net(2)) in the dense layout written before the COO one,
+# kept verbatim
 DENSE_IDENTITY_2 = (
     '{"layers": [{"weights": [[1.0, 0.0], [0.0, 1.0], [-1.0, -0.0], [-0.0, -1.0]], '
     '"bias": [0.0, 0.0, 0.0, 0.0]}, {"weights": [[1.0, 0.0, -1.0, -0.0], '
@@ -592,13 +593,14 @@ DENSE_IDENTITY_2 = (
 )
 
 
-def test_deserialize_reads_the_dense_layout():
-    assert same_bytes(deserialize(DENSE_IDENTITY_2), identity_net(2))
-    assert same_bytes(deserialize(DENSE_IDENTITY_2.encode()), identity_net(2))
+def test_deserialize_refuses_the_dense_layout():
+    for doc in (DENSE_IDENTITY_2, DENSE_IDENTITY_2.encode()):
+        with pytest.raises(ParseError, match="unknown layout None; the one layout is 'coo'"):
+            deserialize(doc)
 
 
 @given(shapes, st.integers(0, 2**32 - 1))
-def test_dense_and_coo_files_load_to_the_same_bytes(shape, seed):
+def test_signed_zeros_load_back_to_the_same_bytes(shape, seed):
     rng = np.random.default_rng(seed)
 
     def draw(size):
@@ -610,9 +612,7 @@ def test_dense_and_coo_files_load_to_the_same_bytes(shape, seed):
     net = Network(
         tuple((draw((shape[k], shape[k - 1])), draw(shape[k])) for k in range(1, len(shape)))
     )
-    coo = deserialize(serialize(net))
-    assert same_bytes(coo, deserialize(dense_serialize(net)))
-    assert same_bytes(coo, net)
+    assert same_bytes(deserialize(serialize(net)), net)
 
 
 def test_explicit_positive_zeros_in_a_coo_file_are_no_entries():
@@ -620,9 +620,7 @@ def test_explicit_positive_zeros_in_a_coo_file_are_no_entries():
         '{"layout": "coo", "layers": [{"shape": [2, 3], "rows": [0, 0, 1, 1], '
         '"cols": [0, 2, 1, 2], "values": [0.0, 1.5, -0.0, 0.0], "bias": [0.0, 1.0]}]}'
     )
-    dense = deserialize(
-        '{"layers": [{"weights": [[0.0, 0.0, 1.5], [0.0, -0.0, 0.0]], "bias": [0.0, 1.0]}]}'
-    )
+    dense = affine([[0.0, 0.0, 1.5], [0.0, -0.0, 0.0]], [0.0, 1.0])
     assert serialize(coo) == serialize(dense)
     assert b'"rows": [0, 1], "cols": [2, 1], "values": [1.5, -0.0]' in serialize(coo)
     assert same_bytes(coo, dense)
