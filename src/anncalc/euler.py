@@ -393,11 +393,11 @@ class GrowthBoundInputs:
         maxima = [0.0]
         partial = 0.0
         # a sum or norm past the float range is inf, and a NaN stays NaN,
-        # so both are refused below
+        # so both are refused below; hypot scales, so no finite norm overflows
         with np.errstate(over="ignore", invalid="ignore"):
             for k, v in enumerate(y):
                 partial = partial + _numbers(v, f"y[{k}]")
-                maxima.append(float(np.maximum(maxima[-1], np.linalg.norm(partial))))
+                maxima.append(float(np.maximum(maxima[-1], math.hypot(*np.ravel(partial)))))
         return cls(float(C), float(c), norms, tuple(maxima))
 
 

@@ -13,10 +13,10 @@ fused layer of a composition), as a stack (:meth:`Layer.stack`, the
 block-diagonal layer of a parallelization, which keeps its parts), or as
 the entries of a COO file layer.  Only the dense form holds its matrix;
 ``layer.weights``, the read-only row-major matrix, is kept on first use,
-and only there: :func:`serialize` and :func:`networks_equal` scan a stack's
-entries from a fresh fill that no layer keeps.  A sparse stack's block plan
-is made of its leaves; a large sparse layer of any other form, or a stack
-whose leaves fill too much of it, scans its entries without keeping them.
+and only there: :func:`networks_equal` scans a stack's entries from a fresh
+fill that no layer keeps.  A sparse stack's block plan is made of its leaves;
+a large sparse layer of any other form, or a stack whose leaves fill too much
+of it, scans its entries without keeping them.
 
 :func:`realize` and :func:`forward_states` share one evaluator: it checks a
 batch once and runs it whole under 1,024 points, else in slices of a
@@ -38,18 +38,18 @@ scheme's perturbations and the points of its oracle.
 
 Files (``.ann.json``) are read, like scheme files, by one strict JSON front
 end: UTF-8 text without NaN or Infinity tokens, any failure a ParseError.
-They hold one coordinate-list layout: each layer stores its shape, the row
-and column of each weight that is nonzero or ``-0.0`` in row-major order,
-those weights, and the dense bias, so a load gives back the same bytes.
-A load turns each layer's lists into arrays as the parser closes the layer,
-so the Python numbers of only one layer are alive at once.
-Each distinct number of a long list is formatted once, and the text is what
-``json.dumps`` writes of the same document::
+They hold each distinct layer object once, as a part: a leaf stores its
+shape, the row and column of each weight that is nonzero or ``-0.0`` in
+row-major order, those weights and the dense bias; a stack lists the ids of
+earlier parts, and a load builds it from those objects, so the net comes
+back with the same bytes and shared parts.  A layer is a part id or an
+inline part.  Each distinct number of a long list is formatted once, and
+the text is what ``json.dumps`` writes of the same document::
 
-    {"layout": "coo", "layers": [{"shape": [r, c], "rows": [...],
-     "cols": [...], "values": [...], "bias": [...]}, ...]}
+    {"layout": "coo", "parts": [{"shape": [r, c], "rows": [...], "cols": [...],
+     "values": [...], "bias": [...]}, {"stack": [0, 0]}, ...], "layers": [1, ...]}
 
-A COO layer may declare at most 2**27 weight entries.
+A part may have at most 2**27 weight entries, and the stacks' biases as many.
 """
 
 from __future__ import annotations
@@ -225,41 +225,47 @@ class Layer:
 
     __delattr__ = __setattr__
 
+    def _leaves(self):
+        """Each leaf under this layer with its row and column offsets, in row
+        order, walked without recursion however deep the stacks nest."""
+        todo = [(self, 0, 0)]
+        while todo:
+            layer, r, c = todo.pop()
+            if "_parts" not in layer.__dict__:
+                yield layer, r, c
+                continue
+            r, c = r + layer.rows, c + layer.cols
+            for part in reversed(layer._parts):  # so the first part is taken first
+                r, c = r - part.rows, c - part.cols
+                todo.append((part, r, c))
+
     def _matrix(self) -> np.ndarray:
         """The matrix: ``weights`` if filled, else a fresh read-only fill no layer keeps."""
         if "weights" in self.__dict__:
             return self.weights
         w = np.zeros((self.rows, self.cols))
-        self._fill(w)
+        for leaf, r, c in self._leaves():
+            block = w[r : r + leaf.rows, c : c + leaf.cols]
+            if "weights" in leaf.__dict__:
+                block[...] = leaf.weights
+            else:
+                rows, cols, values = leaf._entries
+                block[rows, cols] = values
         w.setflags(write=False)
         return w
-
-    def _fill(self, w: np.ndarray) -> None:
-        """Write the matrix into the zeros ``w``: a held matrix is copied, a
-        stack's parts write their blocks in place, entries are scattered."""
-        if "weights" in self.__dict__:
-            w[...] = self.weights
-        elif "_parts" in self.__dict__:
-            r = c = 0
-            for part in self._parts:
-                part._fill(w[r : r + part.rows, c : c + part.cols])
-                r, c = r + part.rows, c + part.cols
-        else:
-            rows, cols, values = self._entries
-            w[rows, cols] = values
 
     weights = cached_property(_matrix)
 
     def _scan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, values) of every weight that is nonzero or ``-0.0``,
         in row-major order.  A dense layer, or a stack under _BLOCK_MIN_ENTRIES
-        entries, scans its matrix; a larger stack joins its parts' entries."""
+        entries, scans its matrix; a larger stack joins its leaves' entries."""
         if "_parts" not in self.__dict__ or self.rows * self.cols < _BLOCK_MIN_ENTRIES:
             w = self._matrix()
             rows, cols = np.nonzero((w != 0.0) | np.signbit(w))
             return rows, cols, w[rows, cols]
-        rows, cols, values = zip(*(p._entries for p in self._parts))
-        r0, c0 = np.cumsum([(0, 0)] + [(p.rows, p.cols) for p in self._parts], axis=0).T
+        leaves, r0, c0 = zip(*self._leaves())
+        rows, cols, values = zip(*(leaf._entries for leaf in leaves))
         return (np.concatenate([r + k for r, k in zip(rows, r0)]),
                 np.concatenate([c + k for c, k in zip(cols, c0)]), np.concatenate(values))
 
@@ -295,14 +301,9 @@ class Layer:
         """
         R, C = self.rows, self.cols
         if "_parts" in self.__dict__ and R * C >= _STACK_MIN_ENTRIES:
-            whole, shapes, cells, todo = {}, {}, 0, [(self, 0, 0)]
-            while todo:
-                layer, r, c = todo.pop()
-                if "_parts" in layer.__dict__:
-                    for part in layer._parts:
-                        todo.append((part, r, c))
-                        r, c = r + part.rows, c + part.cols
-                elif layer._block_plan is None:
+            whole, shapes, cells = {}, {}, 0
+            for layer, r, c in self._leaves():
+                if layer._block_plan is None:
                     whole.setdefault((layer.rows, layer.cols), []).append((r, c, layer))
                     cells += layer.rows * layer.cols
                 else:
@@ -621,25 +622,35 @@ def _json_list(a: np.ndarray) -> str:
 def serialize(net: Network) -> bytes:
     """Strict JSON document in the COO layout, full double precision.
 
-    Each layer lists its weights in row-major order that are nonzero or have
-    the sign bit set, so a ``-0.0`` comes back as ``-0.0``.  JSON has no NaN
-    or infinity, so a layer holding one raises DomainError.  The text is
-    what ``json.dumps`` writes of the same document, with each distinct
-    number of a long list formatted once.  Layers are written one at a
-    time, so the strings of only one layer are alive at once.
+    Each distinct layer object is one part, in first-visit post-order: a
+    leaf lists its weights in row-major order that are nonzero or have the
+    sign bit set, so a ``-0.0`` comes back as ``-0.0``; a stack lists its
+    parts' ids.  JSON has no NaN or infinity, so a layer holding one raises
+    DomainError.  The text is what ``json.dumps`` writes of the document.
     """
-    chunks = [b'{"layout": "coo", "layers": [']
-    for k, layer in enumerate(net.layers):
-        rows, cols, values = layer._entries
-        if not (np.isfinite(values).all() and np.isfinite(layer.bias).all()):
-            raise DomainError(f"layer {k}: cannot serialize a NaN or infinite scalar")
-        text = (f'{{"shape": [{layer.rows}, {layer.cols}], "rows": {_json_list(rows)}, '
-                f'"cols": {_json_list(cols)}, "values": {_json_list(values)}, '
-                f'"bias": {_json_list(layer.bias)}}}')
-        if k:
-            chunks.append(b", ")
-        chunks.append(text.encode("utf-8"))
-    chunks.append(b"]}")
+    ids, chunks = {}, [b'{"layout": "coo", "parts": [']
+    for k, top in enumerate(net.layers):
+        todo = [top]
+        while todo:
+            layer = todo.pop()
+            new = [part for part in layer.__dict__.get("_parts", ()) if part not in ids]
+            if new:  # its parts first, then the stack again
+                todo += [layer, *reversed(new)]
+            if new or layer in ids:
+                continue
+            if "_parts" in layer.__dict__:
+                text = f'{{"stack": [{", ".join(str(ids[part]) for part in layer._parts)}]}}'
+            else:
+                rows, cols, values = layer._entries
+                if not (np.isfinite(values).all() and np.isfinite(layer.bias).all()):
+                    raise DomainError(f"layer {k}: cannot serialize a NaN or infinite scalar")
+                text = (f'{{"shape": [{layer.rows}, {layer.cols}], "rows": {_json_list(rows)}, '
+                        f'"cols": {_json_list(cols)}, "values": {_json_list(values)}, '
+                        f'"bias": {_json_list(layer.bias)}}}')
+            chunks += [b", "] if ids else []
+            ids[layer] = len(ids)
+            chunks.append(text.encode("utf-8"))
+    chunks.append(f'], "layers": [{", ".join(str(ids[layer]) for layer in net.layers)}]}}'.encode())
     return b"".join(chunks)
 
 
@@ -681,18 +692,27 @@ def _index_array(raw, name: str, bound: int) -> np.ndarray:
     return a.astype(np.int64, copy=False)
 
 
-def _coo_layer(raw, inputs: int | None) -> Layer:
-    """The layer of one COO entry, kept as its entries; ValueError naming
-    the rule it breaks.  ``inputs`` is the previous layer's output count."""
-    keys = ("shape", "rows", "cols", "values", "bias")
-    missing = [key for key in keys if not isinstance(raw, dict) or key not in raw]
-    if missing:
-        raise ValueError("missing " + ", ".join(repr(key) for key in missing))
-    shape = raw["shape"]
-    if not (
-        isinstance(shape, list) and len(shape) == 2 and all(_is_int(n) and n > 0 for n in shape)
-    ):
-        raise ValueError("shape must be two positive JSON integers")
+def _coo_layer(raw, parts: list[Layer], inputs: int | None, stacked: int) -> Layer:
+    """A COO leaf kept as its entries, or ``{"stack": ids}`` of the earlier
+    ``parts``; ValueError naming the rule it breaks.  ``inputs`` is the
+    previous layer's output count, ``stacked`` the stacks' bias entries so far."""
+    stack = isinstance(raw, dict) and "stack" in raw
+    if stack:
+        ids = _index_array(raw["stack"], "stack", len(parts))
+        if not ids.size:
+            raise ValueError("stack must list at least one part")
+        chosen = [parts[i] for i in ids.tolist()]
+        shape = [sum(p.rows for p in chosen), sum(p.cols for p in chosen)]
+    else:
+        keys = ("shape", "rows", "cols", "values", "bias")
+        missing = [key for key in keys if not isinstance(raw, dict) or key not in raw]
+        if missing:
+            raise ValueError("missing " + ", ".join(repr(key) for key in missing))
+        shape = raw["shape"]
+        if not (
+            isinstance(shape, list) and len(shape) == 2 and all(_is_int(n) and n > 0 for n in shape)
+        ):
+            raise ValueError("shape must be two positive JSON integers")
     r, c = shape
     if r * c > _MAX_LAYER_ENTRIES:
         raise ValueError(
@@ -700,6 +720,11 @@ def _coo_layer(raw, inputs: int | None) -> Layer:
         )
     if inputs is not None and c != inputs:
         raise ValueError(f"expects {c} inputs but the layer before produces {inputs}")
+    if stack:
+        if stacked + r > _MAX_LAYER_ENTRIES:
+            raise ValueError(f"the stacks' biases reach {stacked + r} entries, more than the "
+                             f"cap of {_MAX_LAYER_ENTRIES}")
+        return Layer.stack(chosen)
     # pop, so the parsed numbers of a layer go once it is converted
     rows = _index_array(raw.pop("rows"), "rows", r)
     cols = _index_array(raw.pop("cols"), "cols", c)
@@ -730,7 +755,7 @@ def _layer_arrays(text: str) -> Callable[[dict], dict]:
     spells_bool = "true" in text or "false" in text
 
     def arrays(obj: dict) -> dict:
-        for key in ("rows", "cols", "values", "bias"):
+        for key in ("rows", "cols", "values", "bias", "stack"):
             v = obj.get(key)
             with suppress(ValueError, RecursionError):
                 if spells_bool and _holds_bool(v):
@@ -743,22 +768,33 @@ def _layer_arrays(text: str) -> Callable[[dict], dict]:
 
 
 def deserialize(data: bytes | str) -> Network:
-    """Parse a serialized network, reporting the offending layer on failure."""
+    """Parse a serialized network, reporting the offending part or layer on
+    failure; a stack is a :meth:`Layer.stack` of the part objects it lists."""
     doc = _strict_json(data, "document", _layer_arrays)
     if not isinstance(doc, dict) or "layers" not in doc:
         raise ParseError("document has no 'layers' field")
     if doc.get("layout") != "coo":
         layout = _strict_json(data, "document").get("layout")  # as written, without arrays
         raise ParseError(f"unknown layout {layout!r}; the one layout is 'coo'")
-    raw_layers = doc["layers"]
+    raw_parts, raw_layers = doc.get("parts", []), doc["layers"]
+    if not isinstance(raw_parts, list):
+        raise ParseError("'parts' must be a list")
     if not isinstance(raw_layers, list) or not raw_layers:
         raise ParseError("'layers' must be a non-empty list")
-    layers = []
-    for k, raw in enumerate(raw_layers):
-        try:
-            layers.append(_coo_layer(raw, layers[-1].rows if layers else None))
-        except (ShapeError, ValueError) as exc:
-            raise ParseError(f"layer {k}: {exc}") from exc
+    parts, layers, stacked = [], [], 0
+    for what, raws, built in (("part", raw_parts, parts), ("layer", raw_layers, layers)):
+        for k, raw in enumerate(raws):
+            try:
+                if built is parts or isinstance(raw, dict):
+                    layer = _coo_layer(raw, parts, layers[-1].rows if layers else None, stacked)
+                    stacked += layer.rows if layer.form == "stack" else 0
+                elif _is_int(raw) and 0 <= raw < len(parts):
+                    layer = parts[raw]
+                else:
+                    raise ValueError(f"{raw!r} is neither a layer nor a part id in [0, {len(parts)})")
+            except (ShapeError, ValueError) as exc:
+                raise ParseError(f"{what} {k}: {exc}") from exc
+            built.append(layer)
     try:
         return Network(tuple(layers))
     except ShapeError as exc:

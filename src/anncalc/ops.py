@@ -99,7 +99,7 @@ def identity_net(d: int) -> Network:
     """
     if not _is_int(d) or d < 1:
         raise ShapeError(f"identity_net needs an integer d >= 1, got {d!r}")
-    if 2 * d * d > _MAX_LAYER_ENTRIES:
+    if 2 * int(d) ** 2 > _MAX_LAYER_ENTRIES:  # int, so a numpy integer cannot wrap
         raise ShapeError(f"identity_net({d}) has over {_MAX_LAYER_ENTRIES} entries in a layer")
     eye = np.eye(d)
     w1 = np.vstack([eye, -eye])

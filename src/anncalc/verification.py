@@ -199,7 +199,7 @@ def halton(n: int, d: int) -> np.ndarray:
         raise DomainError(f"halton needs an integer n >= 0, got {n!r}")
     if not _is_int(d) or not 0 <= d <= len(_PRIMES):
         raise DomainError(f"halton needs an integer d in [0, {len(_PRIMES)}], got {d!r}")
-    if n * max(d, 1) > _MAX_LAYER_ENTRIES:
+    if int(n) * max(int(d), 1) > _MAX_LAYER_ENTRIES:  # int, so a numpy integer cannot wrap
         raise DomainError(f"halton({n}, {d}) asks for over {_MAX_LAYER_ENTRIES} points or values")
     out = np.empty((n, d))
     for j in range(d):

@@ -253,12 +253,15 @@ def test_info_layers_of_a_planned_spacetime_net(tmp_path, rng, capsys):
     for row, layer in zip(rows, net.layers):
         nonzeros = int(np.count_nonzero(layer.weights))
         plan = layer._block_plan or ()
-        assert (row["rows"], row["cols"], row["nonzeros"]) == (layer.rows, layer.cols, nonzeros)
+        assert (row["form"], row["rows"], row["cols"], row["nonzeros"]) == (
+            layer.form, layer.rows, layer.cols, nonzeros)
         assert row["density"] == nonzeros / (layer.rows * layer.cols)
         assert row["planned"] == (layer._block_plan is not None)
         assert row["groups"] == [[*row_ids.shape, col_ids.shape[1]] for row_ids, col_ids, _ in plan]
         assert row["blocks"] == sum(len(row_ids) for row_ids, _, _ in plan)
     assert any(row["planned"] for row in rows) and not all(row["planned"] for row in rows)
+    # the file keeps the stacks of the built net
+    assert {row["form"] for row in rows} == {"entries", "stack"}
     assert run("info", path, "--layers") == 0
     lines = capsys.readouterr().out.splitlines()[2:]
     for line, row in zip(lines, rows):

@@ -563,14 +563,25 @@ def test_growth_bound_inputs_refuse_infinities(args, match):
     [([[[math.inf]]], [[0.5]], r"step_norms\[0\]=inf"),
      ([np.eye(1), [[math.nan]]], [[0.5], [0.5]], r"step_norms\[1\]=inf"),
      ([np.eye(1)], [[math.inf]], r"y_partial_max\[1\]=inf"),
-     # numpy warned of the overflow, and max() dropped the NaN
-     ([np.eye(1)] * 2, [[1e308], [1e308]], r"y_partial_max\[1\]=inf"),
+     # numpy warned of the overflow, and max() dropped the NaN; the norm of
+     # the first partial sum is 1e308, so the second is the first refused
+     ([np.eye(1)] * 2, [[1e308], [1e308]], r"y_partial_max\[2\]=inf"),
      ([np.eye(1)], [[math.nan]], r"y_partial_max\[1\]=nan")],
     ids=["inf_matrix", "nan_matrix", "inf_y", "overflowing_y", "nan_y"],
 )
 def test_growth_bound_inputs_from_steps_refuse_non_finite_steps(matrices, y, match):
     with pytest.raises(DomainError, match=match):
         GrowthBoundInputs.from_steps(1.0, 1.0, matrices, y)
+
+
+def test_growth_bound_inputs_from_steps_keep_finite_norms_of_large_and_tiny_sums():
+    # the norm is scaled: squaring 1e200 overflowed to inf, squaring 3e-200 underflowed to 0
+    inputs = GrowthBoundInputs.from_steps(1.0, 1.0, [np.eye(1)], [[1e200]])
+    assert inputs.y_partial_max == (0.0, 1e200)
+    inputs = GrowthBoundInputs.from_steps(1.0, 1.0, [np.eye(2)] * 2, [[3e200, 4e200], [-3e200, 0.0]])
+    assert inputs.y_partial_max == pytest.approx((0.0, 5e200, 5e200), rel=1e-15)
+    inputs = GrowthBoundInputs.from_steps(1.0, 1.0, [np.eye(2)], [[3e-200, 4e-200]])
+    assert inputs.y_partial_max == pytest.approx((0.0, 5e-200), rel=1e-15)
 
 
 @pytest.mark.parametrize(

@@ -340,9 +340,14 @@ def test_scalars_past_64_bits_or_the_largest_float_get_their_documented_errors(c
 _UNALLOCATABLE_SIZES = {
     "identity_net": (lambda: identity_net(2**62), ShapeError, "identity_net(4611686018427387904)"),
     "identity_net_past_the_cap": (lambda: identity_net(8193), ShapeError, "identity_net(8193)"),
+    # 2 * d * d of a numpy integer wrapped with an overflow warning
+    "identity_net_numpy_int": (lambda: identity_net(np.int64(2**40)), ShapeError,
+                               "identity_net(1099511627776)"),
     "halton": (lambda: halton(2**62, 1), DomainError, "halton(4611686018427387904, 1)"),
     "halton_without_coordinates": (lambda: halton(2**64 - 1, 0), DomainError, "halton("),
     "halton_past_the_cap": (lambda: halton(2**26 + 1, 2), DomainError, "halton(67108865, 2)"),
+    "halton_numpy_int": (lambda: halton(np.int64(2**62), 4), DomainError,
+                         "halton(4611686018427387904, 4)"),
     "scalvec": (lambda: scalar_vector_product(ApproxSpec(0.5, 3.0, 2**62)), DomainError,
                 "scalar_vector_product at d=4611686018427387904 has over 134217728 entries"),
     # 24 * 1673 rows by 2 * 1673 columns in the stacked first layers
@@ -484,16 +489,31 @@ def test_a_failed_save_leaves_the_file_as_it_was(tmp_path):
 
 
 def json_dumps_serialize(net):
-    # independent writer of the COO layout: entries scanned from the dense
-    # weights, the whole document handed to json.dumps
-    layers = []
+    # independent writer of the COO layout: each distinct layer once, parts
+    # before the stacks that list them, a leaf's entries scanned from its
+    # dense weights, the whole document handed to json.dumps
+    ids, parts = {}, []
+
+    def visit(layer):
+        if layer in ids:
+            return
+        if layer.form == "stack":
+            for part in layer._parts:
+                visit(part)
+            entry = {"stack": [ids[part] for part in layer._parts]}
+        else:
+            w = layer.weights
+            rows, cols = np.nonzero((w != 0.0) | np.signbit(w))
+            entry = {"shape": [layer.rows, layer.cols], "rows": rows.tolist(),
+                     "cols": cols.tolist(), "values": w[rows, cols].tolist(),
+                     "bias": layer.bias.tolist()}
+        ids[layer] = len(parts)
+        parts.append(entry)
+
     for layer in net.layers:
-        w = layer.weights
-        rows, cols = np.nonzero((w != 0.0) | np.signbit(w))
-        layers.append({"shape": [layer.rows, layer.cols], "rows": rows.tolist(),
-                       "cols": cols.tolist(), "values": w[rows, cols].tolist(),
-                       "bias": layer.bias.tolist()})
-    return json.dumps({"layout": "coo", "layers": layers}, allow_nan=False).encode()
+        visit(layer)
+    doc = {"layout": "coo", "parts": parts, "layers": [ids[layer] for layer in net.layers]}
+    return json.dumps(doc, allow_nan=False).encode()
 
 
 # numbers whose text is easy to get wrong, beside ones the constructions repeat
@@ -529,7 +549,9 @@ EDGE_NET = Network((
 def test_serialize_writes_what_json_dumps_writes(net):
     assert serialize(net) == json_dumps_serialize(net)
     coo = deserialize(serialize(net))
-    assert {layer.form for layer in coo.layers} == {"entries"}
+    # leaves load as entries and stacks as stacks
+    assert [layer.form for layer in coo.layers] == ["stack", "entries"]
+    assert [part.form for part in coo.layers[0]._parts] == ["entries", "entries"]
     assert serialize(coo) == json_dumps_serialize(coo)
 
 
@@ -726,6 +748,133 @@ def test_deserialize_rejects_unknown_layouts(layout):
         deserialize(doc)
 
 
+LEAF_1X1 = '{"shape": [1, 1], "rows": [0], "cols": [0], "values": [2.0], "bias": [0.5]}'
+LEAF_1X2 = '{"shape": [1, 2], "rows": [0], "cols": [1], "values": [3.0], "bias": [0.0]}'
+
+
+def parts_doc(parts, layers):
+    """A COO document of the ``parts`` and ``layers`` given as JSON texts."""
+    return '{"layout": "coo", "parts": [%s], "layers": %s}' % (", ".join(parts), layers)
+
+
+def test_parts_doc_is_valid():
+    net = deserialize(parts_doc([LEAF_1X1, LEAF_1X2, '{"stack": [0, 0]}'], "[2, 1, 0, 0]"))
+    assert net.layers[0].form == "stack" and net.layers[0]._parts == (net.layers[2],) * 2
+    assert net.layers[2] is net.layers[3]
+    assert realize(net, IDENTITY, [1.0, 2.0]).tolist() == [2 * (2 * 3 * 4.5 + 0.5) + 0.5]
+
+
+@pytest.mark.parametrize(
+    "parts, layers, message",
+    [
+        ([LEAF_1X1, '{"stack": [2]}', LEAF_1X1], "[1]", r"part 1: stack index 2 is out of range \[0, 1\)"),
+        ([LEAF_1X1, '{"stack": [0, 1]}'], "[1]", r"part 1: stack index 1 is out of range \[0, 1\)"),
+        (['{"stack": [0]}'], "[0]", r"part 0: stack index 0 is out of range \[0, 0\)"),
+        ([LEAF_1X1, '{"stack": [-1]}'], "[1]", r"part 1: stack index -1 is out of range"),
+        ([LEAF_1X1, '{"stack": [0.0]}'], "[1]", "part 1: stack must be a list of JSON integers"),
+        ([LEAF_1X1, '{"stack": [true]}'], "[1]", "part 1: stack must be a list of JSON integers"),
+        ([LEAF_1X1, '{"stack": [0, false]}'], "[1]", "part 1: stack must be a list of JSON integers"),
+        ([LEAF_1X1, '{"stack": ["0"]}'], "[1]", "part 1: stack must be a list of JSON integers"),
+        ([LEAF_1X1, '{"stack": 0}'], "[1]", "part 1: stack must be a list of JSON integers"),
+        ([LEAF_1X1, '{"stack": [[0], [0]]}'], "[1]", "part 1: stack must be a list of JSON integers"),
+        ([LEAF_1X1, '{"stack": [0, [0]]}'], "[1]", "part 1: stack must be rectangular"),
+        ([LEAF_1X1, '{"stack": [18446744073709551616]}'], "[1]",
+         "part 1: stack must be a list of JSON integers"),
+        ([LEAF_1X1, '{"stack": []}'], "[1]", "part 1: stack must list at least one part"),
+        ([LEAF_1X1, "0"], "[0]", "part 1: missing 'shape'"),
+        ([LEAF_1X1], "[1]", r"layer 0: 1 is neither a layer nor a part id in \[0, 1\)"),
+        ([LEAF_1X1], "[0, -1]", r"layer 1: -1 is neither a layer nor a part id"),
+        ([LEAF_1X1], "[0.0]", r"layer 0: 0.0 is neither a layer nor a part id"),
+        ([LEAF_1X1], "[true]", r"layer 0: True is neither a layer nor a part id"),
+        ([LEAF_1X1], '["0"]', r"layer 0: '0' is neither a layer nor a part id"),
+        ([LEAF_1X1], "[null]", r"layer 0: None is neither a layer nor a part id"),
+        ([LEAF_1X1], "[18446744073709551616]", "layer 0: 18446744073709551616 is neither"),
+        ([LEAF_1X1], '[0, {"stack": [1]}]', r"layer 1: stack index 1 is out of range \[0, 1\)"),
+        ([LEAF_1X1, LEAF_1X2], "[0, 1]", "layer 1 expects 2 inputs but layer 0 produces 1"),
+        ([LEAF_1X1, LEAF_1X2], '[0, {"stack": [0, 0]}]',
+         "layer 1: expects 2 inputs but the layer before produces 1"),
+        ([LEAF_1X1], "0", "'layers' must be a non-empty list"),
+        ([], "[]", "'layers' must be a non-empty list"),
+    ],
+    ids=["forward", "self", "no_earlier_part", "negative", "float", "bool", "bool_second",
+         "string", "not_a_list", "nested", "ragged", "wide", "empty", "id_as_part",
+         "layer_id_out_of_range", "layer_id_negative", "layer_id_float", "layer_id_bool",
+         "layer_id_string", "layer_id_null", "layer_id_wide", "inline_stack_forward",
+         "ids_do_not_chain", "inline_stack_does_not_chain", "layers_no_list", "no_layers"],
+)
+def test_deserialize_names_the_broken_part_rule(parts, layers, message):
+    with pytest.raises(ParseError, match="^" + message):
+        deserialize(parts_doc(parts, layers))
+
+
+def test_deserialize_refuses_parts_that_are_no_list():
+    doc = '{"layout": "coo", "parts": {"0": %s}, "layers": [0]}' % LEAF_1X1
+    with pytest.raises(ParseError, match="^'parts' must be a list$"):
+        deserialize(doc)
+
+
+def test_a_stack_past_the_entry_cap_is_refused_before_anything_is_allocated():
+    # part k stacks part k - 1 twice: part 14 would be 2**14 x 2**14 = 2**28 entries
+    parts = [LEAF_1X1] + ['{"stack": [%d, %d]}' % (k - 1, k - 1) for k in range(1, 61)]
+    doc = parts_doc(parts, "[60]")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=r"^part 14: shape \[16384, 16384\] has 16384 x 16384 "
+                                             "entries, more than the cap of 134217728"):
+            deserialize(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the biases of parts 0-13 are 128 KiB in all
+    assert peak < 2**20
+    assert deserialize(parts_doc(parts[:14], "[13]")).layers[0].rows == 8192
+
+
+def test_the_biases_of_all_stacks_together_are_held_to_the_entry_cap(monkeypatch):
+    # each stack allocates a bias of its rows, so a stack of one id over a
+    # cap-sized stack costs 15 bytes of text and a full bias; the cap is
+    # lowered to 2**20 so that reaching it allocates 8 MiB, not 1 GiB
+    import anncalc.network
+
+    monkeypatch.setattr(anncalc.network, "_MAX_LAYER_ENTRIES", 2**20)
+    leaf = json.dumps({"shape": [64, 1], "rows": [0], "cols": [0], "values": [1.0],
+                       "bias": [0.0] * 64})
+    # parts 1-7 double part 0 up to 8192 x 128 = 2**20 entries, 16,256 bias
+    # entries in all; from part 8 each part stacks part 7 alone, 8,192 more
+    parts = [leaf] + ['{"stack": [%d, %d]}' % (k - 1, k - 1) for k in range(1, 8)]
+    parts += ['{"stack": [7]}'] * 1000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=r"^part 134: the stacks' biases reach 1056640 "
+                                             "entries, more than the cap of 1048576$"):
+            deserialize(parts_doc(parts, "[7]"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * 2**20
+    assert deserialize(parts_doc(parts[:134], "[133]")).layers[0].rows == 8192
+
+
+def test_a_deep_chain_of_stacks_loads_realizes_compares_and_saves(rng):
+    # 10,000 stacks of one part each over a 64 x 1024 leaf: every walk of the
+    # parts is a loop, so none reaches the recursion limit
+    w = np.where(rng.random((64, 1024)) < 0.01, rng.standard_normal((64, 1024)), 0.0)
+    leaf = Layer(w, rng.standard_normal(64))
+    data = serialize(Network((leaf,)))
+    doc = json.loads(data)
+    doc["parts"] += [{"stack": [k]} for k in range(10_000)]
+    doc["layers"] = [10_000]
+    text = json.dumps(doc)
+    net, again = deserialize(text), deserialize(text)
+    assert dims(net) == (1024, 64) and net.layers[0].rows * net.layers[0].cols >= _BLOCK_MIN_ENTRIES
+    x = rng.standard_normal((5, 1024))
+    assert np.array_equal(realize(net, RELU, x), realize(Network((leaf,)), RELU, x))
+    assert np.array_equal(realize(again, RELU, x), realize(net, RELU, x))
+    assert networks_equal(net, again) and networks_equal(again, Network((leaf,)))
+    assert serialize(net) == text.encode()
+    assert np.array_equal(Layer(net.layers[0].weights, net.layers[0].bias).weights, w)
+
+
 def test_custom_activation():
     from anncalc import Activation
 
@@ -916,15 +1065,15 @@ def _nested(depth, leaf):
 
 
 @pytest.mark.parametrize("depth", [70, 900])
-@pytest.mark.parametrize("key", ["rows", "values", "bias"])
+@pytest.mark.parametrize("key", ["rows", "values", "bias", "stack"])
 def test_deeply_nested_number_lists_are_a_parse_error(key, depth):
     doc = json.loads(serialize(identity_net(1)))
-    doc["layers"][0][key] = _nested(depth, True)
-    with pytest.raises(ParseError, match="^layer 0: "):
+    doc["parts"][0][key] = _nested(depth, True)
+    with pytest.raises(ParseError, match="^part 0: "):
         deserialize(json.dumps(doc))
     # a key that no layer reads may hold anything
     doc = json.loads(serialize(identity_net(1)))
-    doc["rows"] = doc["layers"][1]["extra"] = _nested(depth, True)
+    doc["rows"] = doc["parts"][1]["extra"] = _nested(depth, True)
     assert networks_equal(deserialize(json.dumps(doc)), identity_net(1))
 
 
@@ -1158,9 +1307,6 @@ def test_a_stack_whose_leaves_fill_it_is_planned_by_its_components(rng):
 
 
 def test_a_loaded_net_agrees_with_the_built_one(rng):
-    # a built stack is planned from its leaves, the loaded COO layers by
-    # their components or by the plain product, so outputs need not be
-    # bit-equal
     drift = random_net(rng, 2, 2, 2, width_hi=3, scale=0.7)
     net = spacetime_net(EulerSpec(drift, 1.0, 4, tuple(0.4 * rng.standard_normal((4, 2))), 1e-2, 3.0))
     loaded = deserialize(serialize(net))
@@ -1169,8 +1315,21 @@ def test_a_loaded_net_agrees_with_the_built_one(rng):
     for points in (x, x[0]):
         want, mag = dense_reference(net, RELU, points)
         got = np.atleast_2d(realize(loaded, RELU, points))
-        assert np.all(np.abs(got - np.atleast_2d(realize(net, RELU, points))) <= 1e-12 * mag)
+        assert np.array_equal(got, np.atleast_2d(realize(net, RELU, points)))
         assert np.all(np.abs(got - want) <= 1e-12 * mag)
+
+
+def test_a_loaded_spacetime_net_shares_its_stack_parts(rng):
+    drift = random_net(rng, 2, 2, 2, width_hi=3, scale=0.7)
+    net = spacetime_net(EulerSpec(drift, 1.0, 4, tuple(0.4 * rng.standard_normal((4, 2))), 1e-2, 3.0))
+    data = serialize(net)
+    loaded = deserialize(data)
+    built, got = (_layers_and_parts(n) for n in (net, loaded))
+    distinct = len({id(layer) for layer in built})
+    assert len(got) == len(built) > distinct
+    assert len({id(layer) for layer in got}) == distinct == len(json.loads(data)["parts"])
+    assert [layer.form for layer in got] == [
+        "entries" if layer.form == "dense" else layer.form for layer in built]
 
 
 def test_index_arrays_of_int64_are_kept_without_a_copy():
@@ -1191,10 +1350,10 @@ def test_realize_fills_no_matrix_of_a_planned_spacetime_layer(rng):
 def test_layers_name_the_form_they_were_born_in():
     dense = Layer(np.eye(2), np.zeros(2))
     stack = Layer.stack([dense, dense])
-    entries = deserialize(serialize(Network((stack,)))).layers[0]
-    layers = (dense, dense.after(dense), stack, entries)
+    loaded = deserialize(serialize(Network((stack,)))).layers[0]
+    layers = (dense, dense.after(dense), stack, loaded, loaded._parts[0])
     for _ in range(2):  # filling a matrix or an entries view changes no form
-        assert [layer.form for layer in layers] == ["dense", "dense", "stack", "entries"]
+        assert [layer.form for layer in layers] == ["dense", "dense", "stack", "stack", "entries"]
         for layer in layers:
             layer.weights, layer._entries
 
