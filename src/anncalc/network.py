@@ -13,10 +13,10 @@ fused layer of a composition), as a stack (:meth:`Layer.stack`, the
 block-diagonal layer of a parallelization, which keeps its parts), or as
 the entries of a COO file layer.  Only the dense form holds its matrix;
 ``layer.weights``, the read-only row-major matrix, is kept on first use,
-and only there: :func:`networks_equal` scans a stack's entries from a fresh
-fill that no layer keeps.  A sparse stack's block plan is made of its leaves;
-a large sparse layer of any other form, or a stack whose leaves fill too much
-of it, scans its entries without keeping them.
+and only there; a stack's entries, which :func:`networks_equal` reads, are
+its leaves' entries joined.  A sparse stack of small leaves is planned as
+its leaves, each one block; any other large sparse layer is planned from
+its entries without keeping them.
 
 :func:`realize` and :func:`forward_states` share one evaluator: it checks a
 batch once and runs it whole under 1,024 points, else in slices of a
@@ -89,8 +89,9 @@ __all__ = [
 
 # A layer is evaluated by its block plan when at most 1/_BLOCK_MAX_DENSITY of
 # its entries are in blocks: from _STACK_MIN_ENTRIES for a stack, whose plan
-# is its leaves' blocks and needs no scan, and from _BLOCK_MIN_ENTRIES for a
-# plan of connected components, which scans the entries.  Below its size a
+# is its leaves, each one block, and needs no entries, and from
+# _BLOCK_MIN_ENTRIES for a plan of connected components, which reads the
+# entries and is taken by a stack with a leaf of that size.  Below its size a
 # plan costs more than it saves in the one evaluation a layer often gets.
 _STACK_MIN_ENTRIES = 1 << 12
 _BLOCK_MIN_ENTRIES = 1 << 16
@@ -258,14 +259,14 @@ class Layer:
 
     def _scan(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, cols, values) of every weight that is nonzero or ``-0.0``,
-        in row-major order.  A dense layer, or a stack under _BLOCK_MIN_ENTRIES
-        entries, scans its matrix; a larger stack joins its leaves' entries."""
-        if "_parts" not in self.__dict__ or self.rows * self.cols < _BLOCK_MIN_ENTRIES:
+        in row-major order.  A dense layer scans its matrix; a stack joins its
+        leaves' entries, kept or scanned, and fills no matrix."""
+        if "_parts" not in self.__dict__:
             w = self._matrix()
             rows, cols = np.nonzero((w != 0.0) | np.signbit(w))
             return rows, cols, w[rows, cols]
         leaves, r0, c0 = zip(*self._leaves())
-        rows, cols, values = zip(*(leaf._entries for leaf in leaves))
+        rows, cols, values = zip(*(leaf.__dict__.get("_entries") or leaf._scan() for leaf in leaves))
         return (np.concatenate([r + k for r, k in zip(rows, r0)]),
                 np.concatenate([c + k for c, k in zip(cols, c0)]), np.concatenate(values))
 
@@ -282,6 +283,8 @@ class Layer:
     def stack(layers: Sequence[Layer]) -> Layer:
         """The block-diagonal layer: each layer maps its own slice of the input, in order."""
         parts = tuple(layers)
+        if not parts or not all(isinstance(part, Layer) for part in parts):
+            raise ShapeError("a stack takes one or more parts, each a Layer")
         rows, cols = sum(p.rows for p in parts), sum(p.cols for p in parts)
         return Layer._trusted(rows, cols, np.concatenate([p.bias for p in parts]), _parts=parts)
 
@@ -293,34 +296,24 @@ class Layer:
         One group per block shape (a, b), in shape order: (G, a) row ids and
         (G, b) column ids, each ascending, and the (G, a, b) stacked weights,
         blocks in row order.  No row or column is in two blocks; a row in none
-        is all-zero.  A stack's blocks are its leaves at their offsets, each
-        leaf by its own plan or else whole.  Any other layer's blocks, or a
-        stack's whose leaves fill too much of it, are the connected components
-        of the graph joining row i to column j wherever W[i, j] != 0, filled
-        from :attr:`_entries` if kept, else from a scan.
+        is all-zero.  A stack's blocks are its leaves, each whole at its
+        offsets.  Any other layer's blocks, or a stack's with a leaf of
+        _BLOCK_MIN_ENTRIES or leaves filling over 1/_BLOCK_MAX_DENSITY of it,
+        are the connected components of the graph joining row i to column j
+        wherever W[i, j] != 0, from :attr:`_entries` if kept, else a scan.
         """
         R, C = self.rows, self.cols
         if "_parts" in self.__dict__ and R * C >= _STACK_MIN_ENTRIES:
-            whole, shapes, cells = {}, {}, 0
-            for layer, r, c in self._leaves():
-                if layer._block_plan is None:
-                    whole.setdefault((layer.rows, layer.cols), []).append((r, c, layer))
-                    cells += layer.rows * layer.cols
-                else:
-                    for row_ids, col_ids, blocks in layer._block_plan:
-                        shapes.setdefault(blocks.shape[1:], []).append((row_ids + r, col_ids + c, blocks))
-                        cells += blocks.size
-            if cells * _BLOCK_MAX_DENSITY <= R * C:
-                for (a, b), found in whole.items():
-                    r, c, leaves = zip(*found)
-                    blocks = np.array([leaf._matrix() for leaf in leaves])
-                    shapes.setdefault((a, b), []).append(
-                        (np.add.outer(r, np.arange(a)), np.add.outer(c, np.arange(b)), blocks))
+            shapes = {}
+            for leaf, r, c in self._leaves():
+                shapes.setdefault((leaf.rows, leaf.cols), []).append((r, c, leaf))
+            if (_BLOCK_MAX_DENSITY * sum(a * b * len(f) for (a, b), f in shapes.items()) <= R * C
+                    and max(a * b for a, b in shapes) < _BLOCK_MIN_ENTRIES):
                 groups = []
-                for ab in sorted(shapes):
-                    row_ids, col_ids, blocks = map(np.concatenate, zip(*shapes[ab]))
-                    order = np.argsort(row_ids[:, 0])
-                    groups.append((row_ids[order], col_ids[order], blocks[order]))
+                for a, b in sorted(shapes):
+                    r, c, leaves = zip(*shapes[a, b])
+                    groups.append((np.add.outer(r, np.arange(a)), np.add.outer(c, np.arange(b)),
+                                   np.array([leaf._matrix() for leaf in leaves])))
                 return tuple(groups)
         if R * C < _BLOCK_MIN_ENTRIES:
             return None
@@ -372,10 +365,16 @@ class Network:
     layers: tuple[Layer, ...]
 
     def __post_init__(self):
-        layers = tuple(
-            layer if isinstance(layer, Layer) else Layer(*layer) for layer in self.layers
-        )
-        object.__setattr__(self, "layers", layers)
+        layers = []
+        for k, layer in enumerate(self.layers):
+            if not isinstance(layer, Layer):
+                try:
+                    weights, bias = layer
+                except (TypeError, ValueError) as exc:
+                    raise ShapeError(f"layer {k} must be a Layer or a (weights, bias) pair") from exc
+                layer = Layer(weights, bias)
+            layers.append(layer)
+        object.__setattr__(self, "layers", layers := tuple(layers))
         if not layers:
             raise ShapeError("a network needs at least one layer")
         for k in range(1, len(layers)):

@@ -53,7 +53,7 @@ from anncalc.network import (
     _numbers,
 )
 
-from conftest import check_block_plan, random_net, same_bytes
+from conftest import check_block_plan, random_net, same_bytes, spy
 
 
 def brute_force_params(net):
@@ -190,6 +190,26 @@ def test_network_validation():
         Network(((np.zeros((2, 2)), np.zeros(3)),))
     with pytest.raises(ShapeError):
         Network(((np.zeros((2, 3)), np.zeros(2)), (np.zeros((1, 4)), np.zeros(1))))
+    # a pair's numbers keep their own errors; only an item that is no pair is relabelled
+    with pytest.raises(DomainError, match="^weight matrix must hold integers or floats"):
+        Network(((np.eye(2), np.zeros(2)), ("ab", "cd")))
+
+
+@pytest.mark.parametrize("items, k", [
+    ((1,), 0), ("ab", 0), (((np.eye(2),),), 0), (((np.eye(2), np.zeros(2), 0.0),), 0),
+    (((np.eye(2), np.zeros(2)), None), 1),
+], ids=["int", "string", "one-array", "triple", "second-None"])
+def test_network_names_an_item_that_is_neither_a_layer_nor_a_pair(items, k):
+    with pytest.raises(ShapeError, match=rf"^layer {k} must be a Layer or a \(weights, bias\) pair$"):
+        Network(items)
+
+
+@pytest.mark.parametrize("parts", [
+    [], [np.eye(2)], [Layer(np.eye(2), np.zeros(2)), (np.eye(2), np.zeros(2))],
+], ids=["none", "array", "pair"])
+def test_a_stack_of_bad_parts_is_a_shape_error(parts):
+    with pytest.raises(ShapeError, match="^a stack takes one or more parts, each a Layer$"):
+        Layer.stack(parts)
 
 
 @pytest.mark.parametrize(
@@ -1034,6 +1054,30 @@ def test_serialize_and_networks_equal_fill_no_stack_matrix():
         assert after == before
 
 
+def test_networks_equal_fills_no_stack_matrix_even_transiently(monkeypatch, rng):
+    # stacks of every size join their leaves' entries; a small one once
+    # scanned a fresh fill of its matrix
+    nets = [_nested_stacks_net(np.random.default_rng(7)),
+            spacetime_net(EulerSpec(random_net(rng, 2, 2, 2), 1.0, 4, ((0.1, 0.2),) * 4, 1e-2, 3.0))]
+    stacks = [layer for net in nets for layer in net.layers if layer.form == "stack"]
+    assert any(layer.rows * layer.cols < _STACK_MIN_ENTRIES for layer in stacks)
+    assert any(layer.rows * layer.cols >= _BLOCK_MIN_ENTRIES for layer in stacks)
+    loaded = [deserialize(serialize(net)) for net in nets]
+    fills = spy(monkeypatch, Layer, "_matrix")
+    for net, other in zip(nets, loaded):
+        assert networks_equal(net, other) and networks_equal(other, net) and networks_equal(net, net)
+    assert [args[0].form for args in fills if args[0].form == "stack"] == []
+
+
+def test_networks_equal_keeps_no_entries_on_a_stacks_dense_leaves():
+    # the join scans a dense leaf's matrix and keeps the result on the stack only
+    net, twin = (_nested_stacks_net(np.random.default_rng(7)) for _ in range(2))
+    assert networks_equal(net, twin)
+    stacks = [layer for layer in net.layers if layer.form == "stack"]
+    dense = [leaf for layer in stacks for leaf, _, _ in layer._leaves() if leaf.form == "dense"]
+    assert dense and not any("_entries" in vars(leaf) for leaf in dense)
+
+
 def test_networks_equal_compares_held_matrices_without_their_entries():
     a, b = square_unit(2**-10), square_unit(2**-10)
     assert networks_equal(a, b)
@@ -1200,16 +1244,13 @@ def random_stack(rng, depth):
 
 def leaf_blocks(layer, r=0, c=0):
     """(row ids, column ids, block) of each block a stack plans from its
-    leaves: a leaf's own plan at the leaf's offsets, else the whole leaf."""
-    if layer.form == "stack":
-        for part in layer._parts:
-            yield from leaf_blocks(part, r, c)
-            r, c = r + part.rows, c + part.cols
-    elif layer._block_plan is None:
+    leaves: each leaf whole, at its offsets."""
+    if layer.form != "stack":
         yield np.arange(r, r + layer.rows), np.arange(c, c + layer.cols), layer.weights
-    else:
-        for row_ids, col_ids, blocks in layer._block_plan:
-            yield from zip(row_ids + r, col_ids + c, blocks)
+        return
+    for part in layer._parts:
+        yield from leaf_blocks(part, r, c)
+        r, c = r + part.rows, c + part.cols
 
 
 def check_stack_plan(layer, want):
@@ -1280,14 +1321,54 @@ def test_a_stack_plans_a_large_sparse_coo_leaf_by_its_components(rng):
     blocks = np.kron(np.eye(64), np.ones((4, 4))) * rng.standard_normal((256, 256))
     sparse = Layer(blocks[rng.permutation(256)][:, rng.permutation(256)], rng.standard_normal(256))
     coo = deserialize(serialize(Network((sparse,)))).layers[0]
-    assert coo.form == "entries" and [b.shape for _, _, b in coo._block_plan] == [(64, 4, 4)]
-    layer = Layer.stack([small, Layer.stack([coo, small])])
-    check_stack_plan(layer, block_diagonal([w, sparse.weights, w]))
+    inner = Layer.stack([coo, small])
+    layer = Layer.stack([small, inner])
+    # taken whole, the leaf fills more than 1/8 of the stack: the stack is
+    # planned by its components, from its leaves' entries joined
+    cells = coo.rows * coo.cols + 2 * small.rows * small.cols
+    assert coo.form == "entries" and layer.rows * layer.cols >= _BLOCK_MIN_ENTRIES
+    assert cells * _BLOCK_MAX_DENSITY > layer.rows * layer.cols
+    plan = layer._block_plan
+    assert not any(vars(x).keys() & {"weights", "_block_plan"} for x in (coo, inner))
+    assert "weights" not in vars(layer)
+    check_block_plan(layer)
+    dense = Layer(layer.weights, layer.bias)
+    for got, ref in zip(plan, dense._block_plan, strict=True):
+        assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, ref))
     # the leaf's components, at the leaf's offsets, are among the stack's blocks
-    inside = [block.shape for row_ids, _, blocks in layer._block_plan
+    inside = [block.shape for row_ids, _, blocks in plan
               for first, block in zip(row_ids[:, 0], blocks)
               if small.rows <= first < small.rows + coo.rows]
     assert inside == [(4, 4)] * 64
+
+
+def test_a_stack_with_a_large_all_zero_coo_leaf_allocates_no_matrix():
+    # the 2048 x 2048 leaf fills under 1/8 of either stack with a 16,000-wide
+    # leaf; taken whole as a block it would be a 32 MiB fill per stack
+    zero = '{"shape": [2048, 2048], "rows": [], "cols": [], "values": [], "bias": [%s]}' % (
+        ", ".join(["0.5"] * 2048)
+    )
+    wide = '{"shape": [1, 16000], "rows": [0], "cols": [0], "values": [2.0], "bias": [0.0]}'
+    tall = '{"shape": [16000, 1], "rows": [0], "cols": [0], "values": [2.0], "bias": [%s]}' % (
+        ", ".join(["0.0"] * 16000)
+    )
+    doc = '{"layout": "coo", "parts": [%s, %s, %s, {"stack": [0, 1]}, {"stack": [0, 2]}], ' \
+          '"layers": [3, 4, 3, 4]}' % (zero, wide, tall)
+    tracemalloc.start()
+    try:
+        net = deserialize(doc)
+        out = realize(net, IDENTITY, np.ones(18048))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    stacks = net.layers[:2]
+    assert [layer.form for layer in stacks] == ["stack"] * 2
+    assert all(2048 * 2048 * _BLOCK_MAX_DENSITY <= layer.rows * layer.cols for layer in stacks)
+    assert all(layer._block_plan is not None for layer in stacks)
+    assert not any(vars(leaf).keys() & {"weights", "_block_plan"}
+                   for layer in stacks for leaf, _, _ in layer._leaves())
+    assert np.array_equal(out, np.concatenate([np.full(2048, 0.5), [16.0], np.zeros(15999)]))
+    assert peak < 16 * 2**20
 
 
 def test_a_stack_whose_leaves_fill_it_is_planned_by_its_components(rng):

@@ -135,6 +135,17 @@ def test_planned_states_are_kept_in_block_order():
     assert sum(reads) > len(reads) / 2
 
 
+@pytest.mark.parametrize("seed, d, N", GRID)
+def test_a_planned_stack_asks_no_leaf_for_a_plan(seed, d, N):
+    # each leaf is one block, taken whole, so no leaf is planned
+    net = spacetime_net(grid_spec(seed, d, N))
+    realize(net, RELU, points(seed, d, 3))
+    stacks = [layer for layer in net.layers if layer.form == "stack" and layer._block_plan]
+    assert stacks
+    leaves = {id(leaf): leaf for layer in stacks for leaf, _, _ in layer._leaves()}
+    assert not any("_block_plan" in vars(leaf) for leaf in leaves.values())
+
+
 def plan_bytes(plan):
     """Every array, slice and count of a network's plan, as bytes."""
     out = []
